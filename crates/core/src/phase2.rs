@@ -204,6 +204,12 @@ impl FetchPlan {
 /// Pairs no fetchable source covers land in [`FetchPlan::missing`]
 /// instead of failing the plan: phase two degrades to a sound subset
 /// exactly like phase one does under dead sources.
+///
+/// Each usable source's members among the page are found once, by one
+/// sorted merge against its catalog entry, and attributes are bit
+/// masks over the requested list, so a greedy round walks only the
+/// members that can still gain. Planning costs
+/// `O(Σ_j |catalog_j| + rounds · Σ_j |members_j| · ⌈|attrs| / 64⌉)`.
 pub fn plan_fetch(
     answer: &ItemSet,
     attrs: &[usize],
@@ -216,27 +222,34 @@ pub fn plan_fetch(
     req.sort_unstable();
     req.dedup();
     let cached_covered = answer.intersect(cached);
-    let work: Vec<Item> = answer.difference(&cached_covered).iter().cloned().collect();
-    let n = catalog.n_sources();
-    let usable: Vec<bool> = (0..n)
-        .map(|j| model.fetch_attr_floor(SourceId(j), arity).is_finite())
+    let work = answer.difference(&cached_covered);
+    let work = work.as_slice();
+    let words = req.len().div_ceil(64);
+    let mut candidates: Vec<Candidate> = (0..catalog.n_sources())
+        .filter_map(|j| Candidate::new(SourceId(j), &req, work, catalog, model, arity))
         .collect();
 
     // Split the universe into coverable pairs (the greedy's input) and
-    // missing pairs, and price the admissible floor of the former.
-    let mut remaining: Vec<BTreeSet<usize>> = Vec::with_capacity(work.len());
+    // missing pairs, and price the admissible floor of the former:
+    // each pair's cheapest covering floor, summed item-major.
+    let mut floors = vec![f64::INFINITY; work.len() * req.len()];
+    for c in &candidates {
+        for &idx in &c.members {
+            for k in ones(&c.mask) {
+                let f = &mut floors[idx * req.len() + k];
+                *f = f.min(c.floor);
+            }
+        }
+    }
+    let mut need = vec![0u64; work.len() * words];
     let mut missing: Vec<(Item, Vec<usize>)> = Vec::new();
     let mut lower_bound = 0.0;
-    for item in &work {
-        let mut have = BTreeSet::new();
+    for (idx, item) in work.iter().enumerate() {
         let mut miss = Vec::new();
-        for &a in &req {
-            let floor = (0..n)
-                .filter(|&j| usable[j] && catalog.covers(SourceId(j), item, a))
-                .map(|j| model.fetch_attr_floor(SourceId(j), arity))
-                .fold(f64::INFINITY, f64::min);
+        for (k, &a) in req.iter().enumerate() {
+            let floor = floors[idx * req.len() + k];
             if floor.is_finite() {
-                have.insert(a);
+                need[idx * words + k / 64] |= 1 << (k % 64);
                 lower_bound += floor;
             } else {
                 miss.push(a);
@@ -245,81 +258,64 @@ pub fn plan_fetch(
         if !miss.is_empty() {
             missing.push((item.clone(), miss));
         }
-        remaining.push(have);
     }
 
     let mut assignments = Vec::new();
     let mut planned_cost = Cost::ZERO;
+    let mut union = vec![0u64; words];
     loop {
         // Score every source by cost per newly covered (item, attr).
         let mut best: Option<(f64, usize)> = None;
-        for (j, &ok) in usable.iter().enumerate().take(n) {
-            if !ok {
+        for (t, c) in candidates.iter_mut().enumerate() {
+            // Needs only shrink: a member with nothing left to supply
+            // here never gains again.
+            c.members
+                .retain(|&idx| overlaps(&need[idx * words..(idx + 1) * words], &c.mask));
+            if c.members.is_empty() {
                 continue;
             }
-            let cov = catalog.entry(SourceId(j));
+            union.fill(0);
             let mut gain = 0usize;
-            let mut k = 0usize;
-            let mut union: BTreeSet<usize> = BTreeSet::new();
-            for (idx, item) in work.iter().enumerate() {
-                if remaining[idx].is_empty() || !cov.items.contains(item) {
-                    continue;
-                }
-                let need: Vec<usize> = remaining[idx]
-                    .iter()
-                    .filter(|a| cov.attrs.contains(a))
-                    .copied()
-                    .collect();
-                if !need.is_empty() {
-                    gain += need.len();
-                    k += 1;
-                    union.extend(need);
+            for &idx in &c.members {
+                for (w, u) in union.iter_mut().enumerate() {
+                    let b = need[idx * words + w] & c.mask[w];
+                    gain += b.count_ones() as usize;
+                    *u |= b;
                 }
             }
-            if gain == 0 {
-                continue;
-            }
-            let cost = model.fetch_cost(SourceId(j), k, union.len(), arity);
+            let cost = model.fetch_cost(c.source, c.members.len(), count(&union), arity);
             let ratio = cost.value() / gain as f64;
             if best.is_none_or(|(r, _)| ratio < r) {
-                best = Some((ratio, j));
+                best = Some((ratio, t));
             }
         }
-        let Some((_, j)) = best else { break };
+        let Some((_, t)) = best else { break };
 
         // Commit the winner: exact per-item responsibility, then remove
         // the covered pairs from the universe.
-        let cov = catalog.entry(SourceId(j));
-        let mut covers: Vec<(Item, Vec<usize>)> = Vec::new();
-        let mut union: BTreeSet<usize> = BTreeSet::new();
-        for (idx, item) in work.iter().enumerate() {
-            if remaining[idx].is_empty() || !cov.items.contains(item) {
-                continue;
+        let c = &candidates[t];
+        union.fill(0);
+        let mut got = vec![0u64; words];
+        let mut covers: Vec<(Item, Vec<usize>)> = Vec::with_capacity(c.members.len());
+        for &idx in &c.members {
+            let row = &mut need[idx * words..(idx + 1) * words];
+            for w in 0..words {
+                got[w] = row[w] & c.mask[w];
+                row[w] &= !got[w];
+                union[w] |= got[w];
             }
-            let need: Vec<usize> = remaining[idx]
-                .iter()
-                .filter(|a| cov.attrs.contains(a))
-                .copied()
-                .collect();
-            if need.is_empty() {
-                continue;
-            }
-            for a in &need {
-                remaining[idx].remove(a);
-            }
-            union.extend(need.iter().copied());
-            covers.push((item.clone(), need));
+            covers.push((work[idx].clone(), ones(&got).map(|k| req[k]).collect()));
         }
-        let items: ItemSet = covers.iter().map(|(i, _)| i.clone()).collect();
-        let caps = model.source_capabilities(SourceId(j));
-        let est_cost = model.fetch_cost(SourceId(j), items.len(), union.len(), arity);
+        let items = ItemSet::from_sorted_unique(covers.iter().map(|(i, _)| i.clone()).collect());
+        let caps = model.source_capabilities(c.source);
+        let est_cost = model.fetch_cost(c.source, items.len(), count(&union), arity);
         planned_cost += est_cost;
         assignments.push(FetchAssignment {
-            source: SourceId(j),
-            items: items.clone(),
-            attrs: union.into_iter().collect(),
-            covers,
+            source: c.source,
             batches: caps.fetch_batches_for(items.len()),
+            items,
+            attrs: ones(&union).map(|k| req[k]).collect(),
+            covers,
             est_cost,
         });
     }
@@ -333,6 +329,85 @@ pub fn plan_fetch(
         planned_cost,
         lower_bound,
     }
+}
+
+/// A usable source as the greedy sees it: the requested attributes it
+/// supplies (bit `k` is the `k`-th requested attribute) and the page
+/// items it holds (ascending indexes into the page).
+struct Candidate {
+    source: SourceId,
+    floor: f64,
+    mask: Vec<u64>,
+    members: Vec<usize>,
+}
+
+impl Candidate {
+    /// `None` when the source cannot serve fetches or supplies none of
+    /// `req`: such a source never covers a pair.
+    fn new(
+        source: SourceId,
+        req: &[usize],
+        work: &[Item],
+        catalog: &CoverageCatalog,
+        model: &NetworkCostModel,
+        arity: usize,
+    ) -> Option<Candidate> {
+        let floor = model.fetch_attr_floor(source, arity);
+        let cov = catalog.entry(source);
+        let mut mask = vec![0u64; req.len().div_ceil(64)];
+        for (k, a) in req.iter().enumerate() {
+            if cov.attrs.contains(a) {
+                mask[k / 64] |= 1 << (k % 64);
+            }
+        }
+        if !floor.is_finite() || count(&mask) == 0 {
+            return None;
+        }
+        let held = cov.items.as_slice();
+        let mut members = Vec::new();
+        let (mut i, mut h) = (0, 0);
+        while i < work.len() && h < held.len() {
+            match work[i].cmp(&held[h]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => h += 1,
+                std::cmp::Ordering::Equal => {
+                    members.push(i);
+                    i += 1;
+                    h += 1;
+                }
+            }
+        }
+        Some(Candidate {
+            source,
+            floor,
+            mask,
+            members,
+        })
+    }
+}
+
+/// Number of set bits in a multi-word mask.
+fn count(mask: &[u64]) -> usize {
+    mask.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// Whether two equal-width masks share a bit.
+fn overlaps(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).any(|(x, y)| x & y != 0)
+}
+
+/// The set bits of a multi-word mask, ascending.
+fn ones(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    mask.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let b = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + b
+            })
+        })
+    })
 }
 
 /// A verified phase-two plan certificate: the covering assignment
@@ -354,9 +429,16 @@ pub struct FetchCertificate {
 
 /// Checks a [`FetchPlan`] against its inputs.
 ///
+/// Coverage is counted on a dense grid of `answer` items × `plan.attrs`,
+/// so certification costs `O(|answer| · |attrs|)` plus a binary search
+/// per covered item.
+///
 /// # Errors
-/// Fails when any (item, attribute) pair of `answer` (outside the
-/// cached set) is covered zero or multiple times, when an assignment
+/// Fails when the plan's attributes are not strictly ascending, when an
+/// assignment covers a pair outside the plan's universe (an item not in
+/// `answer`, an item in `plan.cached`, or an attribute not in
+/// `plan.attrs`), when any (item, attribute) pair of `answer` (outside
+/// the cached set) is covered zero or multiple times, when an assignment
 /// claims coverage its catalog entry cannot supply, when a batch count
 /// disagrees with the source's `fetch_batch` bound, or when the planned
 /// cost undercuts the admissible lower bound.
@@ -366,8 +448,15 @@ pub fn certify_fetch_plan(
     catalog: &CoverageCatalog,
     model: &NetworkCostModel,
 ) -> Result<FetchCertificate> {
-    let mut covered: std::collections::BTreeMap<(Item, usize), usize> =
-        std::collections::BTreeMap::new();
+    if plan.attrs.windows(2).any(|w| w[0] >= w[1]) {
+        return Err(FusionError::execution(format!(
+            "fetch plan attributes {:?} are not strictly ascending",
+            plan.attrs
+        )));
+    }
+    let items = answer.as_slice();
+    let width = plan.attrs.len();
+    let mut covered = vec![0usize; items.len() * width];
     let mut round_trips = 0usize;
     for (t, asg) in plan.assignments.iter().enumerate() {
         let caps = model.source_capabilities(asg.source);
@@ -395,8 +484,22 @@ pub fn certify_fetch_plan(
                     t + 1
                 )));
             }
+            let Ok(row) = items.binary_search(item) else {
+                return Err(FusionError::execution(format!(
+                    "fetch plan assignment {} covers {item}, which is outside the answer",
+                    t + 1
+                )));
+            };
+            if plan.cached.contains(item) {
+                return Err(FusionError::execution(format!(
+                    "fetch plan assignment {} covers {item}, which the cache serves",
+                    t + 1
+                )));
+            }
+            let entry = catalog.entry(asg.source);
+            let held = entry.items.contains(item);
             for &a in attrs {
-                if !catalog.covers(asg.source, item, a) {
+                if !held || !entry.attrs.contains(&a) {
                     return Err(FusionError::execution(format!(
                         "fetch plan assignment {} claims attribute {a} of {item} \
                          beyond source R{}'s coverage",
@@ -404,32 +507,43 @@ pub fn certify_fetch_plan(
                         asg.source.0 + 1
                     )));
                 }
-                *covered.entry((item.clone(), a)).or_insert(0) += 1;
+                let Ok(k) = plan.attrs.binary_search(&a) else {
+                    return Err(FusionError::execution(format!(
+                        "fetch plan assignment {} covers attribute {a} of {item}, \
+                         which the plan does not request",
+                        t + 1
+                    )));
+                };
+                covered[row * width + k] += 1;
             }
         }
     }
-    for ((item, a), count) in &covered {
-        if *count != 1 {
+    for (cell, &count) in covered.iter().enumerate() {
+        if count > 1 {
+            let (item, a) = (&items[cell / width], plan.attrs[cell % width]);
             return Err(FusionError::execution(format!(
                 "fetch plan covers attribute {a} of {item} {count} times"
             )));
         }
     }
-    let missing: std::collections::BTreeSet<(Item, usize)> = plan
-        .missing
-        .iter()
-        .flat_map(|(i, attrs)| attrs.iter().map(move |&a| (i.clone(), a)))
-        .collect();
-    for item in answer {
+    let mut reported = vec![false; covered.len()];
+    for (item, attrs) in &plan.missing {
+        let Ok(row) = items.binary_search(item) else {
+            continue;
+        };
+        for a in attrs {
+            if let Ok(k) = plan.attrs.binary_search(a) {
+                reported[row * width + k] = true;
+            }
+        }
+    }
+    for (row, item) in items.iter().enumerate() {
         if plan.cached.contains(item) {
             continue;
         }
-        for &a in &plan.attrs {
-            let key = (item.clone(), a);
-            if missing.contains(&key) {
-                continue;
-            }
-            if !covered.contains_key(&key) {
+        for (k, a) in plan.attrs.iter().enumerate() {
+            let cell = row * width + k;
+            if covered[cell] == 0 && !reported[cell] {
                 return Err(FusionError::execution(format!(
                     "fetch plan leaves attribute {a} of {item} uncovered and unreported"
                 )));
@@ -443,7 +557,7 @@ pub fn certify_fetch_plan(
         )));
     }
     Ok(FetchCertificate {
-        pairs_covered: covered.len(),
+        pairs_covered: covered.iter().filter(|&&c| c > 0).count(),
         n_assignments: plan.assignments.len(),
         round_trips,
         lower_bound: plan.lower_bound,
@@ -508,6 +622,7 @@ mod tests {
     use crate::query::FusionQuery;
     use fusion_net::{LinkProfile, Network};
     use fusion_source::{Capabilities, InMemoryWrapper, ProcessingProfile, SourceSet};
+    use fusion_stats::SplitMix64;
     use fusion_types::schema::dmv_schema;
     use fusion_types::{tuple, Predicate, Tuple};
 
@@ -567,6 +682,221 @@ mod tests {
         rels.iter()
             .map(Relation::distinct_items)
             .fold(ItemSet::empty(), |a, b| a.union(&b))
+    }
+
+    /// The per-round full-rescan greedy `plan_fetch` replaced: every
+    /// round scores every source over every page item.
+    fn plan_fetch_reference(
+        answer: &ItemSet,
+        attrs: &[usize],
+        catalog: &CoverageCatalog,
+        model: &NetworkCostModel,
+        arity: usize,
+        cached: &ItemSet,
+    ) -> FetchPlan {
+        let mut req: Vec<usize> = attrs.to_vec();
+        req.sort_unstable();
+        req.dedup();
+        let cached_covered = answer.intersect(cached);
+        let work: Vec<Item> = answer.difference(&cached_covered).iter().cloned().collect();
+        let n = catalog.n_sources();
+        let usable: Vec<bool> = (0..n)
+            .map(|j| model.fetch_attr_floor(SourceId(j), arity).is_finite())
+            .collect();
+        let mut remaining: Vec<BTreeSet<usize>> = Vec::with_capacity(work.len());
+        let mut missing: Vec<(Item, Vec<usize>)> = Vec::new();
+        let mut lower_bound = 0.0;
+        for item in &work {
+            let mut have = BTreeSet::new();
+            let mut miss = Vec::new();
+            for &a in &req {
+                let floor = (0..n)
+                    .filter(|&j| usable[j] && catalog.covers(SourceId(j), item, a))
+                    .map(|j| model.fetch_attr_floor(SourceId(j), arity))
+                    .fold(f64::INFINITY, f64::min);
+                if floor.is_finite() {
+                    have.insert(a);
+                    lower_bound += floor;
+                } else {
+                    miss.push(a);
+                }
+            }
+            if !miss.is_empty() {
+                missing.push((item.clone(), miss));
+            }
+            remaining.push(have);
+        }
+        let mut assignments = Vec::new();
+        let mut planned_cost = Cost::ZERO;
+        loop {
+            let mut best: Option<(f64, usize)> = None;
+            for (j, &ok) in usable.iter().enumerate() {
+                if !ok {
+                    continue;
+                }
+                let cov = catalog.entry(SourceId(j));
+                let mut gain = 0usize;
+                let mut k = 0usize;
+                let mut union: BTreeSet<usize> = BTreeSet::new();
+                for (idx, item) in work.iter().enumerate() {
+                    if remaining[idx].is_empty() || !cov.items.contains(item) {
+                        continue;
+                    }
+                    let need: Vec<usize> = remaining[idx]
+                        .iter()
+                        .filter(|a| cov.attrs.contains(a))
+                        .copied()
+                        .collect();
+                    if !need.is_empty() {
+                        gain += need.len();
+                        k += 1;
+                        union.extend(need);
+                    }
+                }
+                if gain == 0 {
+                    continue;
+                }
+                let cost = model.fetch_cost(SourceId(j), k, union.len(), arity);
+                let ratio = cost.value() / gain as f64;
+                if best.is_none_or(|(r, _)| ratio < r) {
+                    best = Some((ratio, j));
+                }
+            }
+            let Some((_, j)) = best else { break };
+            let cov = catalog.entry(SourceId(j));
+            let mut covers: Vec<(Item, Vec<usize>)> = Vec::new();
+            let mut union: BTreeSet<usize> = BTreeSet::new();
+            for (idx, item) in work.iter().enumerate() {
+                if remaining[idx].is_empty() || !cov.items.contains(item) {
+                    continue;
+                }
+                let need: Vec<usize> = remaining[idx]
+                    .iter()
+                    .filter(|a| cov.attrs.contains(a))
+                    .copied()
+                    .collect();
+                if need.is_empty() {
+                    continue;
+                }
+                for a in &need {
+                    remaining[idx].remove(a);
+                }
+                union.extend(need.iter().copied());
+                covers.push((item.clone(), need));
+            }
+            let items: ItemSet = covers.iter().map(|(i, _)| i.clone()).collect();
+            let caps = model.source_capabilities(SourceId(j));
+            let est_cost = model.fetch_cost(SourceId(j), items.len(), union.len(), arity);
+            planned_cost += est_cost;
+            assignments.push(FetchAssignment {
+                source: SourceId(j),
+                items: items.clone(),
+                attrs: union.into_iter().collect(),
+                covers,
+                batches: caps.fetch_batches_for(items.len()),
+                est_cost,
+            });
+        }
+        FetchPlan {
+            attrs: req,
+            arity,
+            cached: cached_covered,
+            assignments,
+            missing,
+            planned_cost,
+            lower_bound,
+        }
+    }
+
+    /// A random subset of `from`, each element kept with probability
+    /// `keep`.
+    fn subset<T: Clone>(rng: &mut SplitMix64, from: &[T], keep: f64) -> Vec<T> {
+        from.iter()
+            .filter(|_| rng.next_f64() < keep)
+            .cloned()
+            .collect()
+    }
+
+    #[test]
+    fn plan_fetch_matches_reference_greedy() {
+        // Plans with a split cover, a missing pair, a cached item and a
+        // >64-attribute request: the battery must reach each shape.
+        let mut reached = [0usize; 4];
+        for seed in 0..300u64 {
+            let mut rng = SplitMix64::new(seed);
+            let n = rng.next_range(1, 7);
+            // A quarter of the sources replicate their predecessor
+            // (capabilities, rows and coverage), so ratios tie exactly.
+            let replica: Vec<bool> = (0..n).map(|j| j > 0 && rng.next_below(4) == 0).collect();
+            let mut caps: Vec<Capabilities> = Vec::with_capacity(n);
+            let mut slices: Vec<std::ops::Range<usize>> = Vec::with_capacity(n);
+            for &copy in &replica {
+                if copy {
+                    caps.push(caps[caps.len() - 1]);
+                    slices.push(slices[slices.len() - 1].clone());
+                    continue;
+                }
+                caps.push(match rng.next_below(6) {
+                    0 => Capabilities::full().with_fetch(false),
+                    1 => Capabilities::full().with_fetch_batch(rng.next_range(1, 16)),
+                    2 => Capabilities::full().with_fee_millis(rng.next_below(4) as u64 * 500),
+                    3 => Capabilities::full().with_projection(false),
+                    _ => Capabilities::full(),
+                });
+                let lo = rng.next_below(30);
+                slices.push(lo..rng.next_range(lo + 1, 41));
+            }
+            let (sources, network) = world(&caps, &slices);
+            let model = model_of(&sources, &network);
+            // Every fifth seed requests more attributes than one mask
+            // word holds.
+            let n_attrs = if seed % 5 == 0 {
+                70
+            } else {
+                rng.next_range(1, 9)
+            };
+            let arity = n_attrs + 1;
+            let all_attrs: Vec<usize> = (1..=n_attrs).collect();
+            let universe: Vec<Item> = (0..60).map(|i| Item::new(format!("L{i:03}"))).collect();
+            let mut catalog = CoverageCatalog::new(n);
+            for (j, &copy) in replica.iter().enumerate() {
+                if copy {
+                    let prev = catalog.entry(SourceId(j - 1)).clone();
+                    catalog.set(SourceId(j), prev.attrs, prev.items);
+                    continue;
+                }
+                let (attr_share, item_share) = (rng.next_f64(), rng.next_f64());
+                let attrs = subset(&mut rng, &all_attrs, attr_share);
+                let items = ItemSet::from_items(subset(&mut rng, &universe, item_share));
+                catalog.set(SourceId(j), attrs.into_iter().collect(), items);
+            }
+            let answer = ItemSet::from_items(subset(&mut rng, &universe, 0.7));
+            let cached = if rng.next_below(3) == 0 {
+                ItemSet::from_items(subset(&mut rng, &universe, 0.3))
+            } else {
+                ItemSet::empty()
+            };
+            let mut attrs = subset(&mut rng, &all_attrs, 0.8);
+            attrs.reverse();
+            if let Some(&a) = attrs.first() {
+                attrs.push(a);
+            }
+            let plan = plan_fetch(&answer, &attrs, &catalog, &model, arity, &cached);
+            let reference = plan_fetch_reference(&answer, &attrs, &catalog, &model, arity, &cached);
+            assert_eq!(plan, reference, "seed {seed}");
+            assert_eq!(
+                plan.lower_bound.to_bits(),
+                reference.lower_bound.to_bits(),
+                "seed {seed}"
+            );
+            certify_fetch_plan(&plan, &answer, &catalog, &model)
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            reached[0] += usize::from(plan.assignments.len() >= 2);
+            reached[1] += usize::from(!plan.missing.is_empty());
+            reached[2] += usize::from(!plan.cached.is_empty());
+            reached[3] += usize::from(n_attrs > 64 && !plan.assignments.is_empty());
+        }
+        assert!(reached.iter().all(|&r| r >= 10), "{reached:?}");
     }
 
     #[test]
@@ -754,8 +1084,8 @@ mod tests {
         assert_eq!(findings[0].rule, "redundant-phase2-fetch");
     }
 
-    #[test]
-    fn double_coverage_mutant_fails_certification() {
+    /// A certified plan over two disjoint halves of the 40-row world.
+    fn split_world_plan() -> (FetchPlan, ItemSet, CoverageCatalog, NetworkCostModel) {
         let caps = [Capabilities::full(), Capabilities::full()];
         let (sources, network) = world(&caps, &[0..20, 20..40]);
         let model = model_of(&sources, &network);
@@ -763,7 +1093,7 @@ mod tests {
         let rels = relations(&sources);
         let answer = answer_of(&rels);
         let catalog = CoverageCatalog::from_relations(&schema, &rels, &[true, true]);
-        let mut plan = plan_fetch(
+        let plan = plan_fetch(
             &answer,
             &[1, 2],
             &catalog,
@@ -772,12 +1102,55 @@ mod tests {
             &ItemSet::empty(),
         );
         certify_fetch_plan(&plan, &answer, &catalog, &model).unwrap();
+        (plan, answer, catalog, model)
+    }
+
+    #[test]
+    fn double_coverage_mutant_fails_certification() {
+        let (mut plan, answer, catalog, model) = split_world_plan();
         // Mutant: duplicate the first assignment — every pair it covers
         // is now covered twice.
         let dup = plan.assignments[0].clone();
         plan.assignments.push(dup);
         let err = certify_fetch_plan(&plan, &answer, &catalog, &model).unwrap_err();
         assert!(err.to_string().contains("times"), "{err}");
+    }
+
+    #[test]
+    fn covering_an_item_outside_the_answer_fails_certification() {
+        let (plan, answer, catalog, model) = split_world_plan();
+        // Mutant: the plan fetches one item more than the page holds.
+        let first = answer.iter().next().unwrap().clone();
+        let page = answer.difference(&[first].into_iter().collect());
+        let err = certify_fetch_plan(&plan, &page, &catalog, &model).unwrap_err();
+        assert!(err.to_string().contains("outside the answer"), "{err}");
+    }
+
+    #[test]
+    fn covering_a_cached_item_fails_certification() {
+        let (mut plan, answer, catalog, model) = split_world_plan();
+        // Mutant: an item the cache serves is fetched as well.
+        plan.cached = answer.iter().take(1).cloned().collect();
+        let err = certify_fetch_plan(&plan, &answer, &catalog, &model).unwrap_err();
+        assert!(err.to_string().contains("the cache serves"), "{err}");
+    }
+
+    #[test]
+    fn covering_an_unrequested_attribute_fails_certification() {
+        let (mut plan, answer, catalog, model) = split_world_plan();
+        // Mutant: attribute 2 is fetched though only attribute 1 is
+        // requested.
+        plan.attrs = vec![1];
+        let err = certify_fetch_plan(&plan, &answer, &catalog, &model).unwrap_err();
+        assert!(err.to_string().contains("does not request"), "{err}");
+    }
+
+    #[test]
+    fn unsorted_plan_attributes_fail_certification() {
+        let (mut plan, answer, catalog, model) = split_world_plan();
+        plan.attrs = vec![2, 1];
+        let err = certify_fetch_plan(&plan, &answer, &catalog, &model).unwrap_err();
+        assert!(err.to_string().contains("strictly ascending"), "{err}");
     }
 
     #[test]

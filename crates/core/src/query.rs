@@ -90,14 +90,9 @@ impl FusionQuery {
             sql.push_str(&format!("U u{}", i + 1));
         }
         sql.push_str("\nWHERE ");
-        if m > 1 {
-            for i in 0..m {
-                if i > 0 {
-                    sql.push_str(" = ");
-                }
-                sql.push_str(&format!("u{}.{merge}", i + 1));
-            }
-            sql.push_str(" AND ");
+        // Pairwise merge equalities: the parser takes no `a = b = c` chain.
+        for i in 1..m {
+            sql.push_str(&format!("u{i}.{merge} = u{}.{merge} AND ", i + 1));
         }
         for (i, c) in self.conditions.iter().enumerate() {
             if i > 0 {

@@ -120,15 +120,17 @@ impl SourceEngine {
     }
 
     /// Fetches the full tuples whose merge item is in `items` (phase two
-    /// of two-phase processing).
+    /// of two-phase processing), in relation order. Rows are found
+    /// through the merge index; the reported work is still a full scan,
+    /// the source work the cost model prices.
     pub fn fetch(&self, items: &ItemSet) -> (Vec<Tuple>, usize) {
-        let schema = self.relation.schema();
-        let mut out = Vec::new();
-        for row in self.relation.rows() {
-            if items.contains(&row.item(schema)) {
-                out.push(row.clone());
-            }
-        }
+        let rows = self.relation.rows();
+        let out = self
+            .relation
+            .rows_with_items(items)
+            .into_iter()
+            .map(|rid| rows[rid].clone())
+            .collect();
         (out, self.relation.len())
     }
 
@@ -137,15 +139,13 @@ impl SourceEngine {
     /// in the given order). The caller includes the merge index in
     /// `attrs` when it wants the key shipped back.
     pub fn fetch_projected(&self, items: &ItemSet, attrs: &[usize]) -> (Vec<Tuple>, usize) {
-        let schema = self.relation.schema();
-        let mut out = Vec::new();
-        for row in self.relation.rows() {
-            if items.contains(&row.item(schema)) {
-                out.push(Tuple::new(
-                    attrs.iter().map(|&a| row.get(a).clone()).collect(),
-                ));
-            }
-        }
+        let rows = self.relation.rows();
+        let out = self
+            .relation
+            .rows_with_items(items)
+            .into_iter()
+            .map(|rid| Tuple::new(attrs.iter().map(|&a| rows[rid].get(a).clone()).collect()))
+            .collect();
         (out, self.relation.len())
     }
 }
@@ -153,8 +153,9 @@ impl SourceEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fusion_stats::SplitMix64;
     use fusion_types::schema::dmv_schema;
-    use fusion_types::{tuple, Predicate};
+    use fusion_types::{tuple, Item, Predicate, Value};
 
     fn engine() -> SourceEngine {
         SourceEngine::new(Relation::from_rows(
@@ -196,6 +197,70 @@ mod tests {
         let (tuples, _) = engine().fetch(&ItemSet::from_items(["J55"]));
         assert_eq!(tuples.len(), 1);
         assert_eq!(tuples[0], tuple!["J55", "dui", 1993i64]);
+    }
+
+    /// The full scan `fetch` replaced: every row's item probed against
+    /// `items`.
+    fn scan_fetch(relation: &Relation, items: &ItemSet) -> Vec<Tuple> {
+        relation
+            .rows()
+            .iter()
+            .filter(|row| items.contains(&row.item(relation.schema())))
+            .cloned()
+            .collect()
+    }
+
+    /// A merge value from a pool where `Int(k)` and `Float(k.0)` are the
+    /// same item.
+    fn merge_value(rng: &mut SplitMix64) -> Value {
+        let k = rng.next_below(6);
+        match rng.next_below(3) {
+            0 => Value::Int(k as i64),
+            1 => Value::Float(k as f64),
+            _ => Value::str(format!("L{k}")),
+        }
+    }
+
+    #[test]
+    fn indexed_fetch_matches_full_scan() {
+        for seed in 0..200u64 {
+            let mut rng = SplitMix64::new(seed);
+            // Few distinct merge values over many rows: items repeat.
+            let rows: Vec<Tuple> = (0..rng.next_below(30))
+                .map(|r| {
+                    Tuple::new(vec![
+                        merge_value(&mut rng),
+                        Value::str(if r % 2 == 0 { "dui" } else { "sp" }),
+                        Value::Int(1990 + r as i64),
+                    ])
+                })
+                .collect();
+            let items: ItemSet = (0..rng.next_below(8))
+                .map(|_| Item(merge_value(&mut rng)))
+                .collect();
+            let relation = Relation::from_rows(dmv_schema(), rows);
+            let expected = scan_fetch(&relation, &items);
+            let e = SourceEngine::new(relation.clone());
+            assert_eq!(
+                e.fetch(&items),
+                (expected.clone(), relation.len()),
+                "seed {seed}"
+            );
+            let projected: Vec<Tuple> = expected
+                .iter()
+                .map(|t| Tuple::new(vec![t.get(2).clone(), t.get(0).clone()]))
+                .collect();
+            assert_eq!(
+                e.fetch_projected(&items, &[2, 0]),
+                (projected, relation.len()),
+                "seed {seed}"
+            );
+            // Without a merge index the relation scans, with the same rows.
+            let ids = relation.rows_with_items(&items);
+            assert_eq!(ids, e.relation().rows_with_items(&items), "seed {seed}");
+            let scanned: Vec<Tuple> = ids.iter().map(|&r| relation.rows()[r].clone()).collect();
+            assert_eq!(scanned, expected, "seed {seed}");
+        }
     }
 
     #[test]

@@ -241,6 +241,29 @@ impl Relation {
         })
     }
 
+    /// Ids of the rows whose merge item is in `items`, ascending.
+    ///
+    /// Probes the merge index once per item when it is built, otherwise
+    /// scans every row.
+    pub fn rows_with_items(&self, items: &ItemSet) -> Vec<usize> {
+        let Some(merge_index) = &self.merge_index else {
+            return (0..self.rows.len())
+                .filter(|&rid| items.contains(&self.rows[rid].item(&self.schema)))
+                .collect();
+        };
+        let mut rids: Vec<usize> = items
+            .iter()
+            .filter_map(|item| merge_index.get(item.value()))
+            .flatten()
+            .copied()
+            .collect();
+        rids.sort_unstable();
+        // Two distinct `Int` items beyond 2^53 can both equal one
+        // `Float` key; the row is still returned once.
+        rids.dedup();
+        rids
+    }
+
     /// All distinct merge-attribute items in the relation.
     pub fn distinct_items(&self) -> ItemSet {
         ItemSet::from_items(self.rows.iter().map(|r| r.item(&self.schema)))

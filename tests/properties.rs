@@ -179,12 +179,15 @@ fn selectivities_bounded() {
 /// to_sql → parse is the identity on conditions.
 #[test]
 fn sql_round_trip() {
-    for_seeds(128, |g| {
-        let query = g.query(2);
-        let sql = query.to_sql();
-        let parsed = parse_fusion_query(&sql, &dmv_schema()).unwrap();
-        assert_eq!(parsed.conditions(), query.conditions(), "sql was: {sql}");
-    });
+    for m in 1..=5 {
+        for_seeds(128, |g| {
+            let query = g.query(m);
+            let sql = query.to_sql();
+            let parsed = parse_fusion_query(&sql, &dmv_schema())
+                .unwrap_or_else(|e| panic!("m = {m}: {e}; sql was: {sql}"));
+            assert_eq!(parsed.conditions(), query.conditions(), "sql was: {sql}");
+        });
+    }
 }
 
 // ---------- branch-and-bound exactness ---------------------------------------
