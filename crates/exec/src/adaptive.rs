@@ -10,14 +10,14 @@
 //! correctness argument as condition-at-a-time simple plans, with truth
 //! instead of estimates in the cost comparisons.
 
-use crate::interp::{dropped_entry, run_semijoin, run_semijoin_ft, Attempted, FtState, SjResult};
-use crate::ledger::{CostLedger, LedgerEntry, StepKind};
+use crate::interp::{dropped_entry, exec_sq, run_semijoin, Fetched, FtState, Wire};
+use crate::ledger::{CostLedger, StepKind};
 use crate::retry::{Completeness, RetryPolicy};
 use fusion_core::optimizer::adaptive_next;
 use fusion_core::plan::SourceChoice;
 use fusion_core::query::FusionQuery;
 use fusion_core::CostModel;
-use fusion_net::{ExchangeKind, MessageSize, Network};
+use fusion_net::Network;
 use fusion_source::SourceSet;
 use fusion_types::error::{FusionError, Result};
 use fusion_types::{CondId, Cost, ItemSet, SourceId};
@@ -67,85 +67,7 @@ pub fn execute_adaptive<M: CostModel>(
     network: &mut Network,
     model: &M,
 ) -> Result<AdaptiveOutcome> {
-    if query.m() != model.n_conditions() || sources.len() != model.n_sources() {
-        return Err(FusionError::invalid_plan(
-            "cost model does not match query/sources",
-        ));
-    }
-    let conditions = query.conditions();
-    let mut remaining: Vec<CondId> = (0..query.m()).map(CondId).collect();
-    let mut current: Option<ItemSet> = None;
-    let mut ledger = CostLedger::new();
-    let mut rounds = Vec::with_capacity(query.m());
-    let mut step = 0usize;
-    while !remaining.is_empty() {
-        let next = adaptive_next(model, &remaining, current.as_ref().map(|s| s.len() as f64));
-        let cond = &conditions[next.cond.0];
-        let mut round_union = ItemSet::empty();
-        let mut any_selection = false;
-        for (j, choice) in next.choices.iter().enumerate() {
-            let source = SourceId(j);
-            let items = match choice {
-                SourceChoice::Selection => {
-                    any_selection = true;
-                    let w = sources.get(source);
-                    let resp = w.select(cond)?;
-                    let req_bytes = MessageSize::sq_request(cond);
-                    let resp_bytes = MessageSize::items_response(&resp.payload);
-                    let comm =
-                        network.exchange(source, ExchangeKind::Selection, req_bytes, resp_bytes);
-                    let proc = Cost::new(
-                        w.processing()
-                            .cost(resp.tuples_examined, resp.payload.len()),
-                    );
-                    ledger.push(LedgerEntry {
-                        step,
-                        kind: StepKind::Selection,
-                        source: Some(source),
-                        comm,
-                        proc,
-                        round_trips: 1,
-                        items_out: resp.payload.len(),
-                        attempts: 1,
-                        failed_cost: Cost::ZERO,
-                    });
-                    resp.payload
-                }
-                SourceChoice::Semijoin => {
-                    let bindings = current
-                        .as_ref()
-                        .expect("planner only semijoins with a running set")
-                        .clone();
-                    let (items, entry) =
-                        run_semijoin(step, source, cond, &bindings, sources, network)?;
-                    ledger.push(entry);
-                    items
-                }
-            };
-            round_union = round_union.union(&items);
-            step += 1;
-        }
-        current = Some(match current {
-            None => round_union,
-            // Semijoin results are already subsets; selections need the
-            // intersection with the running set.
-            Some(prev) if any_selection => prev.intersect(&round_union),
-            Some(_) => round_union,
-        });
-        rounds.push(AdaptiveRound {
-            cond: next.cond,
-            choices: next.choices,
-            predicted_size: next.predicted_size,
-            actual_size: current.as_ref().expect("just set").len(),
-        });
-        remaining.retain(|c| *c != next.cond);
-    }
-    Ok(AdaptiveOutcome {
-        answer: current.expect("m >= 1"),
-        ledger,
-        rounds,
-        completeness: Completeness::Exact,
-    })
+    run_adaptive(query, sources, network, model, None)
 }
 
 /// Fault-tolerant [`execute_adaptive`]: each source query goes through
@@ -168,6 +90,17 @@ pub fn execute_adaptive_ft<M: CostModel>(
     model: &M,
     policy: &RetryPolicy,
 ) -> Result<AdaptiveOutcome> {
+    run_adaptive(query, sources, network, model, Some(policy))
+}
+
+/// The adaptive loop, fault-tolerant when `policy` is given.
+fn run_adaptive<M: CostModel>(
+    query: &FusionQuery,
+    sources: &SourceSet,
+    network: &mut Network,
+    model: &M,
+    policy: Option<&RetryPolicy>,
+) -> Result<AdaptiveOutcome> {
     if query.m() != model.n_conditions() || sources.len() != model.n_sources() {
         return Err(FusionError::invalid_plan(
             "cost model does not match query/sources",
@@ -178,121 +111,68 @@ pub fn execute_adaptive_ft<M: CostModel>(
     let mut current: Option<ItemSet> = None;
     let mut ledger = CostLedger::new();
     let mut rounds = Vec::with_capacity(query.m());
-    let mut st = FtState::new(policy, sources.len());
+    let mut ft = policy.map(|p| FtState::new(p, sources.len()));
     let mut missing_conds: Vec<CondId> = Vec::new();
-    let mut any_dropped = false;
     let mut step = 0usize;
     while !remaining.is_empty() {
         let next = adaptive_next(model, &remaining, current.as_ref().map(|s| s.len() as f64));
         let cond = &conditions[next.cond.0];
-        let mut round_union = ItemSet::empty();
+        let mut answers: Vec<ItemSet> = Vec::new();
         let mut any_selection = false;
         let mut round_degraded = false;
         for (j, choice) in next.choices.iter().enumerate() {
             let source = SourceId(j);
-            if st.dead(source) {
+            if ft.as_ref().is_some_and(|st| st.dead(source)) {
                 // Re-planned around: the dead source's union operand is
                 // skipped, shrinking (never growing) the round.
-                ledger.push(dropped_entry(
-                    step,
-                    match choice {
-                        SourceChoice::Selection => StepKind::Selection,
-                        SourceChoice::Semijoin => StepKind::Semijoin,
-                    },
-                    source,
-                    0,
-                    Cost::ZERO,
-                ));
+                let kind = match choice {
+                    SourceChoice::Selection => StepKind::Selection,
+                    SourceChoice::Semijoin => StepKind::Semijoin,
+                };
+                ledger.push(dropped_entry(step, kind, source, 0, Cost::ZERO));
                 round_degraded = true;
                 step += 1;
                 continue;
             }
-            match choice {
+            let wire = Wire {
+                net: &mut *network,
+                ft: ft.as_mut().map(|st| st.src(source)),
+                spent: ledger.total(),
+            };
+            let fetched = match choice {
                 SourceChoice::Selection => {
                     any_selection = true;
-                    let w = sources.get(source);
-                    let resp = w.select(cond)?;
-                    let req_bytes = MessageSize::sq_request(cond);
-                    let resp_bytes = MessageSize::items_response(&resp.payload);
-                    match st.try_with_retry(
-                        network,
-                        source,
-                        ExchangeKind::Selection,
-                        req_bytes,
-                        resp_bytes,
-                        ledger.total(),
-                    ) {
-                        Attempted::Delivered {
-                            comm,
-                            attempts,
-                            failed,
-                        } => {
-                            let proc = Cost::new(
-                                w.processing()
-                                    .cost(resp.tuples_examined, resp.payload.len()),
-                            );
-                            ledger.push(LedgerEntry {
-                                step,
-                                kind: StepKind::Selection,
-                                source: Some(source),
-                                comm,
-                                proc,
-                                round_trips: 1,
-                                items_out: resp.payload.len(),
-                                attempts,
-                                failed_cost: failed,
-                            });
-                            round_union = round_union.union(&resp.payload);
-                        }
-                        Attempted::Exhausted { attempts, failed } => {
-                            ledger.push(dropped_entry(
-                                step,
-                                StepKind::Selection,
-                                source,
-                                attempts,
-                                failed,
-                            ));
-                            round_degraded = true;
-                        }
-                    }
+                    exec_sq(step, source, cond, sources, wire)?
                 }
                 SourceChoice::Semijoin => {
                     let bindings = current
                         .as_ref()
-                        .expect("planner only semijoins with a running set")
-                        .clone();
-                    match run_semijoin_ft(
-                        step,
-                        source,
-                        cond,
-                        &bindings,
-                        sources,
-                        network,
-                        policy,
-                        st.src_mut(source),
-                        ledger.total(),
-                    )? {
-                        SjResult::Done(items, entry) => {
-                            ledger.push(entry);
-                            round_union = round_union.union(&items);
-                        }
-                        SjResult::Dropped(entry) => {
-                            ledger.push(entry);
-                            round_degraded = true;
-                        }
-                    }
+                        .expect("planner only semijoins with a running set");
+                    run_semijoin(step, source, cond, bindings, sources, wire)?
+                }
+            };
+            match fetched {
+                Fetched::Done(items, entry) => {
+                    ledger.push(entry);
+                    answers.push(items);
+                }
+                Fetched::Dropped(entry) => {
+                    ledger.push(entry);
+                    round_degraded = true;
                 }
             }
             step += 1;
         }
         if round_degraded {
-            any_dropped = true;
             missing_conds.push(next.cond);
         }
+        let round_union = ItemSet::union_all(&answers);
         current = Some(match current {
             None => round_union,
-            Some(prev) if any_selection => prev.intersect(&round_union),
-            Some(prev) if round_degraded => prev.intersect(&round_union),
+            // Semijoin results are already subsets; selections — and a
+            // round that lost an operand — need the intersection with
+            // the running set.
+            Some(prev) if any_selection || round_degraded => prev.intersect(&round_union),
             Some(_) => round_union,
         });
         rounds.push(AdaptiveRound {
@@ -303,23 +183,20 @@ pub fn execute_adaptive_ft<M: CostModel>(
         });
         remaining.retain(|c| *c != next.cond);
     }
-    let completeness = if any_dropped {
-        let mut missing_sources: Vec<SourceId> = st
-            .srcs
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.dead)
-            .map(|(j, _)| SourceId(j))
-            .collect();
-        missing_sources.sort_unstable();
-        missing_conds.sort_unstable();
-        missing_conds.dedup();
-        Completeness::Subset {
-            missing_sources,
-            missing_conditions: missing_conds,
+    let completeness = match ft {
+        Some(st) if !missing_conds.is_empty() => {
+            let missing_sources: Vec<SourceId> = (0..sources.len())
+                .map(SourceId)
+                .filter(|&s| st.dead(s))
+                .collect();
+            missing_conds.sort_unstable();
+            missing_conds.dedup();
+            Completeness::Subset {
+                missing_sources,
+                missing_conditions: missing_conds,
+            }
         }
-    } else {
-        Completeness::Exact
+        _ => Completeness::Exact,
     };
     Ok(AdaptiveOutcome {
         answer: current.expect("m >= 1"),

@@ -29,10 +29,7 @@
 //!   pre-existing entries die) and its fresh answers are *not* admitted
 //!   — data fetched around a fault window predates recovery.
 
-use crate::interp::{
-    dropped_entry, retry_loop, run_sequential, run_sequential_ft, Attempted, Exchanger, FtFetched,
-    SourceFt,
-};
+use crate::interp::{remote_entry, run_sequential, Exchanger, ExecState, Fetched, Wire};
 use crate::ledger::{LedgerEntry, StepKind};
 use crate::retry::RetryPolicy;
 use crate::ExecutionOutcome;
@@ -41,7 +38,7 @@ use fusion_core::plan::Plan;
 use fusion_core::query::FusionQuery;
 use fusion_net::{ExchangeKind, MessageSize, Network};
 use fusion_source::SourceSet;
-use fusion_types::error::{FusionError, Result};
+use fusion_types::error::Result;
 use fusion_types::schema::Schema;
 use fusion_types::{Condition, Cost, ItemSet, SourceId, Tuple};
 
@@ -61,14 +58,8 @@ pub fn execute_plan_cached(
     network: &mut Network,
     cache: &mut AnswerCache,
 ) -> Result<ExecutionOutcome> {
-    let analysis = fusion_core::analyze::analyze_plan(plan)?;
-    if let fusion_core::analyze::Verdict::Refuted(cx) = analysis.verdict() {
-        return Err(FusionError::invalid_plan(format!(
-            "refusing to execute a semantically unsound plan: it does not \
-             compute the fusion query.\n{cx}"
-        )));
-    }
-    run_sequential(plan, query, sources, network, Some(cache))
+    let state = ExecState::new(plan, query, sources, true)?;
+    run_sequential(state, plan, network, None, Some(cache))
 }
 
 /// Fault-tolerant [`execute_plan_cached`]: cache hits are immune to
@@ -86,7 +77,8 @@ pub fn execute_plan_ft_cached(
     policy: &RetryPolicy,
     cache: &mut AnswerCache,
 ) -> Result<ExecutionOutcome> {
-    run_sequential_ft(plan, query, sources, network, policy, Some(cache))
+    let state = ExecState::new(plan, query, sources, true)?;
+    run_sequential(state, plan, network, Some(policy), Some(cache))
 }
 
 /// A cache admission waiting for the run to finish.
@@ -123,18 +115,11 @@ pub(crate) fn served_entry(idx: usize, source: SourceId, served: &Served) -> Led
 /// one (the harvest never lived in the cache).
 pub(crate) fn shared_entry(idx: usize, source: SourceId, served: &Served) -> LedgerEntry {
     LedgerEntry {
-        step: idx,
         kind: match served.kind {
             HitKind::Exact => StepKind::ShareHit,
             HitKind::Subsumed => StepKind::ShareResidual,
         },
-        source: Some(source),
-        comm: Cost::ZERO,
-        proc: Cost::ZERO,
-        round_trips: 0,
-        items_out: served.items.len(),
-        attempts: 0,
-        failed_cost: Cost::ZERO,
+        ..served_entry(idx, source, served)
     }
 }
 
@@ -147,99 +132,57 @@ pub(crate) fn exec_sq_records<E: Exchanger>(
     cond: &Condition,
     schema: &Schema,
     sources: &SourceSet,
-    network: &mut E,
-) -> Result<(ItemSet, Vec<Tuple>, LedgerEntry)> {
-    let w = sources.get(source);
-    let resp = w.select_records(cond)?;
-    let req_bytes = MessageSize::sq_request(cond);
-    let resp_bytes = MessageSize::tuples_response(&resp.payload);
-    let comm = network.exchange(source, ExchangeKind::Selection, req_bytes, resp_bytes);
-    let proc = Cost::new(
-        w.processing()
-            .cost(resp.tuples_examined, resp.payload.len()),
-    );
-    let items = ItemSet::from_items(resp.payload.iter().map(|t| t.item(schema)));
-    let entry = LedgerEntry {
-        step: idx,
-        kind: StepKind::Selection,
-        source: Some(source),
-        comm,
-        proc,
-        round_trips: 1,
-        items_out: items.len(),
-        attempts: 1,
-        failed_cost: Cost::ZERO,
-    };
-    Ok((items, resp.payload, entry))
-}
-
-/// Fault-aware [`exec_sq_records`], mirroring
-/// [`crate::interp::exec_sq_ft`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_sq_records_ft<E: Exchanger>(
-    idx: usize,
-    source: SourceId,
-    cond: &Condition,
-    schema: &Schema,
-    sources: &SourceSet,
-    network: &mut E,
-    policy: &RetryPolicy,
-    ft: &mut SourceFt,
-    spent: Cost,
-) -> Result<FtFetched<(ItemSet, Vec<Tuple>)>> {
-    let kind = StepKind::Selection;
-    if ft.dead {
-        return Ok(FtFetched::Dropped(dropped_entry(
-            idx,
-            kind,
-            source,
-            0,
-            Cost::ZERO,
-        )));
+    mut wire: Wire<'_, E>,
+) -> Result<Fetched<(ItemSet, Vec<Tuple>)>> {
+    if let Some(gone) = wire.gone(idx, StepKind::Selection, source) {
+        return Ok(gone);
     }
     let w = sources.get(source);
     let resp = w.select_records(cond)?;
     let req_bytes = MessageSize::sq_request(cond);
     let resp_bytes = MessageSize::tuples_response(&resp.payload);
-    Ok(
-        match retry_loop(
-            policy,
-            network,
-            ft,
-            source,
-            ExchangeKind::Selection,
-            req_bytes,
-            resp_bytes,
-            spent,
-        ) {
-            Attempted::Delivered {
-                comm,
-                attempts,
-                failed,
-            } => {
-                let proc = Cost::new(
-                    w.processing()
-                        .cost(resp.tuples_examined, resp.payload.len()),
-                );
-                let items = ItemSet::from_items(resp.payload.iter().map(|t| t.item(schema)));
-                let entry = LedgerEntry {
-                    step: idx,
-                    kind,
-                    source: Some(source),
-                    comm,
-                    proc,
-                    round_trips: 1,
-                    items_out: items.len(),
-                    attempts,
-                    failed_cost: failed,
-                };
-                FtFetched::Done((items, resp.payload), entry)
-            }
-            Attempted::Exhausted { attempts, failed } => {
-                FtFetched::Dropped(dropped_entry(idx, kind, source, attempts, failed))
-            }
-        },
-    )
+    let proc = w
+        .processing()
+        .cost(resp.tuples_examined, resp.payload.len());
+    let items = ItemSet::from_items(resp.payload.iter().map(|t| t.item(schema)));
+    let entry = remote_entry(idx, StepKind::Selection, source, proc, items.len());
+    Ok(wire.deliver(
+        &entry,
+        ExchangeKind::Selection,
+        req_bytes,
+        resp_bytes,
+        (items, resp.payload),
+    ))
+}
+
+/// Per-source failed-exchange counts, taken before a cached run: any
+/// increase by the end means the source went through fault recovery.
+pub(crate) fn failed_counts(network: &Network, n_sources: usize) -> Vec<usize> {
+    (0..n_sources)
+        .map(|j| network.failed_count_for(SourceId(j)))
+        .collect()
+}
+
+/// Ends a cached run. Every source whose failed-exchange count rose past
+/// `failed_before` went through fault recovery: its state may have
+/// changed while it was unreachable, so its epoch advances (its cached
+/// entries die) and its fresh answers are withheld. The rest are
+/// admitted, as non-exact entries when the run was not `exact`.
+pub(crate) fn commit_run(
+    cache: &mut AnswerCache,
+    network: &Network,
+    failed_before: &[usize],
+    pending: Vec<PendingInsert>,
+    exact: bool,
+) {
+    let mut failed = vec![false; failed_before.len()];
+    for (j, before) in failed_before.iter().enumerate() {
+        if network.failed_count_for(SourceId(j)) > *before {
+            failed[j] = true;
+            cache.bump_epoch(SourceId(j));
+        }
+    }
+    commit_inserts(cache, pending, exact, &failed);
 }
 
 /// Commits the run's buffered admissions: sources that went through

@@ -1,18 +1,27 @@
-//! Sequential plan interpretation with cost accounting.
+//! Sequential plan interpretation with cost accounting, and the two
+//! layers every executor is built from.
 //!
-//! The per-step execution logic (wrapper call, message sizing, exchange,
-//! ledger entry) lives in helpers generic over an [`Exchanger`] — the
-//! exclusive legacy [`Network`] API for sequential execution, or a
-//! step-tagged shared handle for [`crate::parallel`] workers — so both
-//! executors run the *same* code and byte-identical ledgers fall out by
-//! construction.
+//! * The **step layer** executes one remote step (wrapper call, message
+//!   sizing, exchange, ledger entry). It is generic over an [`Exchanger`]:
+//!   the exclusive legacy [`Network`] API for sequential execution, or a
+//!   step-tagged shared handle for [`crate::parallel`] workers. It is
+//!   also generic over fault tolerance: a [`Wire`] without fault state
+//!   exchanges infallibly, one carrying a retry policy runs every
+//!   exchange through the retry loop. Each remote step kind has exactly
+//!   one executor.
+//! * [`ExecState`] owns one run's bindings, ledger slots, pending cache
+//!   admissions and drop bookkeeping. Its constructor is the one guard
+//!   (semantic proof, structural validation, shape checks); its methods
+//!   are the one fold and the one epilogue.
+//!
+//! The sequential, parallel, cached, replay, reopt and server executors
+//! all run this code, so byte-identical ledgers fall out by construction.
 
-use crate::cached::{
-    commit_inserts, exec_sq_records, exec_sq_records_ft, served_entry, PendingInsert,
-};
+use crate::cached::{commit_run, exec_sq_records, failed_counts, served_entry, PendingInsert};
 use crate::ledger::{CostLedger, LedgerEntry, StepKind};
 use crate::retry::{Completeness, RetryPolicy};
 use fusion_cache::AnswerCache;
+use fusion_core::analyze::{analyze_plan, Analysis, Verdict};
 use fusion_core::plan::{Plan, Step};
 use fusion_core::query::FusionQuery;
 use fusion_net::{ExchangeKind, FailedExchange, FaultKind, MessageSize, Network};
@@ -143,14 +152,8 @@ pub fn execute_plan(
     sources: &SourceSet,
     network: &mut Network,
 ) -> Result<ExecutionOutcome> {
-    let analysis = fusion_core::analyze::analyze_plan(plan)?;
-    if let fusion_core::analyze::Verdict::Refuted(cx) = analysis.verdict() {
-        return Err(FusionError::invalid_plan(format!(
-            "refusing to execute a semantically unsound plan: it does not \
-             compute the fusion query.\n{cx}"
-        )));
-    }
-    execute_plan_unchecked(plan, query, sources, network)
+    let state = ExecState::new(plan, query, sources, true)?;
+    run_sequential(state, plan, network, None, None)
 }
 
 /// [`execute_plan`] without the semantic-soundness guard: the plan is
@@ -166,726 +169,8 @@ pub fn execute_plan_unchecked(
     sources: &SourceSet,
     network: &mut Network,
 ) -> Result<ExecutionOutcome> {
-    run_sequential(plan, query, sources, network, None)
-}
-
-/// The sequential execution loop, with or without an answer cache
-/// attached. `None` is [`execute_plan_unchecked`]; `Some` additionally
-/// serves selections from the cache (free `sq(cache)` / `sq(residual)`
-/// entries), fetches misses as full records, and admits them once the
-/// run completes — see [`crate::cached`] for the contract.
-pub(crate) fn run_sequential(
-    plan: &Plan,
-    query: &FusionQuery,
-    sources: &SourceSet,
-    network: &mut Network,
-    mut cache: Option<&mut AnswerCache>,
-) -> Result<ExecutionOutcome> {
-    plan.validate()?;
-    if query.m() != plan.n_conditions {
-        return Err(FusionError::invalid_plan(format!(
-            "plan expects {} conditions, query has {}",
-            plan.n_conditions,
-            query.m()
-        )));
-    }
-    if sources.len() != plan.n_sources {
-        return Err(FusionError::invalid_plan(format!(
-            "plan expects {} sources, got {}",
-            plan.n_sources,
-            sources.len()
-        )));
-    }
-    let conditions = query.conditions();
-    let mut vars: Vec<Option<ItemSet>> = vec![None; plan.var_names.len()];
-    let mut rels: Vec<Option<Relation>> = vec![None; plan.rel_names.len()];
-    let mut rel_dropped = vec![false; plan.rel_names.len()];
-    let mut ledger = CostLedger::new();
-    let mut pending: Vec<PendingInsert> = Vec::new();
-    // Plain exchanges never drop steps, so these stay empty.
-    let mut dropped: Vec<usize> = Vec::new();
-    let mut missing_conds: Vec<CondId> = Vec::new();
-    for (idx, step) in plan.steps.iter().enumerate() {
-        if step.source().is_none() {
-            let entry = exec_local_step(idx, step, conditions, &mut vars, &rels)?;
-            ledger.push(entry);
-            continue;
-        }
-        if let Step::Sq { out, cond, source } = step {
-            let served = match cache.as_deref_mut() {
-                Some(cache) => cache.lookup(*source, &conditions[cond.0], query.schema())?,
-                None => None,
-            };
-            if let Some(served) = served {
-                ledger.push(served_entry(idx, *source, &served));
-                vars[out.0] = Some(served.items);
-                continue;
-            }
-        }
-        let records = cache.is_some().then(|| query.schema());
-        let done = dispatch_remote_step(
-            idx,
-            step,
-            conditions,
-            sources,
-            network,
-            &vars,
-            None,
-            Cost::ZERO,
-            records,
-        )?;
-        let refetch = done.entry.comm + done.entry.proc;
-        ledger.push(done.entry);
-        apply_step_done(
-            plan,
-            query.schema(),
-            conditions,
-            idx,
-            done.value,
-            refetch,
-            &mut vars,
-            &mut rels,
-            &mut rel_dropped,
-            &mut pending,
-            &mut dropped,
-            &mut missing_conds,
-            None,
-        )?;
-    }
-    let answer = vars[plan.result.0]
-        .clone()
-        .expect("validated: result defined");
-    if let Some(cache) = cache {
-        // Plain exchanges are infallible, so every answer is exact and no
-        // source needs a recovery epoch bump.
-        commit_inserts(cache, pending, true, &[]);
-    }
-    Ok(ExecutionOutcome {
-        answer,
-        ledger,
-        completeness: Completeness::Exact,
-    })
-}
-
-/// Executes one selection step: `sq(c, R)` plus its ledger entry.
-pub(crate) fn exec_sq<E: Exchanger>(
-    idx: usize,
-    source: SourceId,
-    cond: &Condition,
-    sources: &SourceSet,
-    network: &mut E,
-) -> Result<(ItemSet, LedgerEntry)> {
-    let w = sources.get(source);
-    let resp = w.select(cond)?;
-    let req_bytes = MessageSize::sq_request(cond);
-    let resp_bytes = MessageSize::items_response(&resp.payload);
-    let comm = network.exchange(source, ExchangeKind::Selection, req_bytes, resp_bytes);
-    let proc = Cost::new(
-        w.processing()
-            .cost(resp.tuples_examined, resp.payload.len()),
-    );
-    let entry = LedgerEntry {
-        step: idx,
-        kind: StepKind::Selection,
-        source: Some(source),
-        comm,
-        proc,
-        round_trips: 1,
-        items_out: resp.payload.len(),
-        attempts: 1,
-        failed_cost: Cost::ZERO,
-    };
-    Ok((resp.payload, entry))
-}
-
-/// Executes one Bloom-filter semijoin step plus its ledger entry.
-pub(crate) fn exec_bloom<E: Exchanger>(
-    idx: usize,
-    source: SourceId,
-    cond: &Condition,
-    bindings: &ItemSet,
-    bits: u8,
-    sources: &SourceSet,
-    network: &mut E,
-) -> Result<(ItemSet, LedgerEntry)> {
-    let w = sources.get(source);
-    let filter = fusion_types::BloomFilter::build(bindings, bits as f64);
-    let resp = w.bloom_semijoin(cond, &filter)?;
-    let req_bytes = MessageSize::sq_request(cond) + filter.wire_size();
-    let resp_bytes = MessageSize::items_response(&resp.payload);
-    let comm = network.exchange(source, ExchangeKind::BloomSemijoin, req_bytes, resp_bytes);
-    let proc = Cost::new(
-        w.processing()
-            .cost(resp.tuples_examined, resp.payload.len()),
-    );
-    let entry = LedgerEntry {
-        step: idx,
-        kind: StepKind::BloomSemijoin,
-        source: Some(source),
-        comm,
-        proc,
-        round_trips: 1,
-        items_out: resp.payload.len(),
-        attempts: 1,
-        failed_cost: Cost::ZERO,
-    };
-    Ok((resp.payload, entry))
-}
-
-/// Executes one full-load step `lq(R)` plus its ledger entry; the caller
-/// turns the rows into a [`Relation`] under the query schema.
-pub(crate) fn exec_lq<E: Exchanger>(
-    idx: usize,
-    source: SourceId,
-    sources: &SourceSet,
-    network: &mut E,
-) -> Result<(Vec<Tuple>, LedgerEntry)> {
-    let w = sources.get(source);
-    let resp = w.load()?;
-    let req_bytes = MessageSize::lq_request();
-    let resp_bytes = MessageSize::tuples_response(&resp.payload);
-    let comm = network.exchange(source, ExchangeKind::Load, req_bytes, resp_bytes);
-    let proc = Cost::new(
-        w.processing()
-            .cost(resp.tuples_examined, resp.payload.len()),
-    );
-    let entry = LedgerEntry {
-        step: idx,
-        kind: StepKind::Load,
-        source: Some(source),
-        comm,
-        proc,
-        round_trips: 1,
-        items_out: resp.payload.len(),
-        attempts: 1,
-        failed_cost: Cost::ZERO,
-    };
-    Ok((resp.payload, entry))
-}
-
-/// Executes one mediator-local step (`LocalSq`, `Union`, `Intersect`,
-/// `Diff`), writing its output variable and returning the (free) ledger
-/// entry.
-///
-/// # Panics
-/// Panics if called with a remote step.
-pub(crate) fn exec_local_step(
-    idx: usize,
-    step: &Step,
-    conditions: &[Condition],
-    vars: &mut [Option<ItemSet>],
-    rels: &[Option<Relation>],
-) -> Result<LedgerEntry> {
-    match step {
-        Step::LocalSq { out, cond, rel } => {
-            let relation = rels[rel.0].as_ref().expect("validated: loaded before use");
-            let r = relation.select_items(&conditions[cond.0])?;
-            let entry = local_entry(idx, r.items.len());
-            vars[out.0] = Some(r.items);
-            Ok(entry)
-        }
-        Step::Union { out, inputs } => {
-            let sets: Vec<&ItemSet> = inputs
-                .iter()
-                .map(|v| vars[v.0].as_ref().expect("validated"))
-                .collect();
-            let u = ItemSet::union_all(sets);
-            let entry = local_entry(idx, u.len());
-            vars[out.0] = Some(u);
-            Ok(entry)
-        }
-        Step::Intersect { out, inputs } => {
-            let mut iter = inputs.iter();
-            let first = vars[iter.next().expect("validated").0]
-                .clone()
-                .expect("validated");
-            let acc = iter.fold(first, |acc, v| {
-                acc.intersect(vars[v.0].as_ref().expect("validated"))
-            });
-            let entry = local_entry(idx, acc.len());
-            vars[out.0] = Some(acc);
-            Ok(entry)
-        }
-        Step::Diff { out, left, right } => {
-            let l = vars[left.0].as_ref().expect("validated");
-            let r = vars[right.0].as_ref().expect("validated");
-            let d = l.difference(r);
-            let entry = local_entry(idx, d.len());
-            vars[out.0] = Some(d);
-            Ok(entry)
-        }
-        remote => panic!("exec_local_step called with remote step {remote:?}"),
-    }
-}
-
-fn local_entry(step: usize, items_out: usize) -> LedgerEntry {
-    LedgerEntry {
-        step,
-        kind: StepKind::Local,
-        source: None,
-        comm: Cost::ZERO,
-        proc: Cost::ZERO,
-        round_trips: 0,
-        items_out,
-        attempts: 0,
-        failed_cost: Cost::ZERO,
-    }
-}
-
-/// Executes one semijoin query, natively or by emulation.
-pub(crate) fn run_semijoin<E: Exchanger>(
-    step: usize,
-    source: SourceId,
-    cond: &fusion_types::Condition,
-    bindings: &ItemSet,
-    sources: &SourceSet,
-    network: &mut E,
-) -> Result<(ItemSet, LedgerEntry)> {
-    let w = sources.get(source);
-    let caps = *w.capabilities();
-    if bindings.is_empty() {
-        // X ⋉ ∅ = ∅: both the native and the emulated path resolve this
-        // at the mediator for free — no round trip, no source work. The
-        // cost estimator agrees (NetworkCostModel::sjq_cost at k = 0).
-        let kind = if caps.native_semijoin {
-            StepKind::Semijoin
-        } else {
-            StepKind::EmulatedSemijoin
-        };
-        let entry = LedgerEntry {
-            step,
-            kind,
-            source: Some(source),
-            comm: Cost::ZERO,
-            proc: Cost::ZERO,
-            round_trips: 0,
-            items_out: 0,
-            attempts: 0,
-            failed_cost: Cost::ZERO,
-        };
-        return Ok((ItemSet::empty(), entry));
-    }
-    if caps.native_semijoin {
-        let resp = w.semijoin(cond, bindings)?;
-        let req_bytes = MessageSize::sjq_request(cond, bindings);
-        let resp_bytes = MessageSize::items_response(&resp.payload);
-        let comm = network.exchange(source, ExchangeKind::Semijoin, req_bytes, resp_bytes);
-        let proc = Cost::new(
-            w.processing()
-                .cost(resp.tuples_examined, resp.payload.len()),
-        );
-        let entry = LedgerEntry {
-            step,
-            kind: StepKind::Semijoin,
-            source: Some(source),
-            comm,
-            proc,
-            round_trips: 1,
-            items_out: resp.payload.len(),
-            attempts: 1,
-            failed_cost: Cost::ZERO,
-        };
-        return Ok((resp.payload, entry));
-    }
-    if !caps.passed_bindings {
-        return Err(FusionError::Unsupported {
-            detail: format!(
-                "source `{}` supports neither native nor emulated semijoins",
-                w.name()
-            ),
-        });
-    }
-    // Emulation: one probe per batch of bindings (§2.3).
-    let batch_size = caps.binding_batch.max(1);
-    let mut result = ItemSet::empty();
-    let mut comm = Cost::ZERO;
-    let mut proc = Cost::ZERO;
-    let mut round_trips = 0usize;
-    let items: Vec<_> = bindings.iter().cloned().collect();
-    for chunk in items.chunks(batch_size) {
-        let batch = ItemSet::from_items(chunk.iter().cloned());
-        let resp = w.probe(cond, &batch)?;
-        let req_bytes = MessageSize::sjq_request(cond, &batch);
-        let resp_bytes = MessageSize::items_response(&resp.payload);
-        comm += network.exchange(source, ExchangeKind::BindingProbe, req_bytes, resp_bytes);
-        proc += Cost::new(
-            w.processing()
-                .cost(resp.tuples_examined, resp.payload.len()),
-        );
-        round_trips += 1;
-        result = result.union(&resp.payload);
-    }
-    let entry = LedgerEntry {
-        step,
-        kind: StepKind::EmulatedSemijoin,
-        source: Some(source),
-        comm,
-        proc,
-        round_trips,
-        items_out: result.len(),
-        attempts: round_trips,
-        failed_cost: Cost::ZERO,
-    };
-    Ok((result, entry))
-}
-
-/// One source's fault-handling state: whether it was given up on, and
-/// the consecutive-failure count feeding its circuit breaker.
-///
-/// The parallel executor keeps one of these per source behind a mutex;
-/// the sequential executors keep a plain vector inside [`FtState`]. The
-/// retry logic itself ([`retry_loop`]) is shared.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SourceFt {
-    /// Given up on (outage, tripped breaker, retry exhaustion).
-    pub(crate) dead: bool,
-    /// Consecutive failures (circuit-breaker input).
-    pub(crate) consecutive: usize,
-}
-
-/// Result of pushing one exchange through the retry loop.
-pub(crate) enum Attempted {
-    /// The exchange went through; `failed` covers earlier failed tries
-    /// and backoff waits.
-    Delivered {
-        comm: Cost,
-        attempts: usize,
-        failed: Cost,
-    },
-    /// The policy's patience ran out; the source is now dead.
-    Exhausted { attempts: usize, failed: Cost },
-}
-
-/// Attempts one exchange under the retry policy. `spent` is the cost
-/// executed so far, checked against the policy deadline: once the budget
-/// is gone, failures are final (no more retries).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn retry_loop<E: Exchanger>(
-    policy: &RetryPolicy,
-    network: &mut E,
-    ft: &mut SourceFt,
-    source: SourceId,
-    kind: ExchangeKind,
-    req_bytes: usize,
-    resp_bytes: usize,
-    spent: Cost,
-) -> Attempted {
-    let mut failed = Cost::ZERO;
-    let mut attempts = 0usize;
-    loop {
-        attempts += 1;
-        match network.try_exchange(source, kind, req_bytes, resp_bytes) {
-            Ok(comm) => {
-                ft.consecutive = 0;
-                return Attempted::Delivered {
-                    comm,
-                    attempts,
-                    failed,
-                };
-            }
-            Err(FailedExchange { kind: fault, cost }) => {
-                failed += cost;
-                ft.consecutive += 1;
-                let give_up = fault == FaultKind::Outage
-                    || ft.consecutive >= policy.breaker_threshold
-                    || attempts >= policy.max_attempts
-                    || policy
-                        .deadline
-                        .is_some_and(|budget| spent + failed >= budget);
-                if give_up {
-                    ft.dead = true;
-                    return Attempted::Exhausted { attempts, failed };
-                }
-                // Wait before retrying; the wait is charged as
-                // failure cost (the mediator sits idle).
-                failed += policy.backoff(source, attempts);
-            }
-        }
-    }
-}
-
-/// Per-query fault-handling state for [`execute_plan_ft`].
-pub(crate) struct FtState<'a> {
-    pub(crate) policy: &'a RetryPolicy,
-    /// Per-source breaker/death state.
-    pub(crate) srcs: Vec<SourceFt>,
-}
-
-impl<'a> FtState<'a> {
-    /// Fresh state: all sources alive, breakers reset.
-    pub(crate) fn new(policy: &'a RetryPolicy, n_sources: usize) -> FtState<'a> {
-        FtState {
-            policy,
-            srcs: vec![SourceFt::default(); n_sources],
-        }
-    }
-
-    /// Whether `source` has been given up on.
-    pub(crate) fn dead(&self, source: SourceId) -> bool {
-        self.srcs[source.0].dead
-    }
-
-    /// Mutable access to one source's state.
-    pub(crate) fn src_mut(&mut self, source: SourceId) -> &mut SourceFt {
-        &mut self.srcs[source.0]
-    }
-
-    /// See [`retry_loop`].
-    pub(crate) fn try_with_retry<E: Exchanger>(
-        &mut self,
-        network: &mut E,
-        source: SourceId,
-        kind: ExchangeKind,
-        req_bytes: usize,
-        resp_bytes: usize,
-        spent: Cost,
-    ) -> Attempted {
-        retry_loop(
-            self.policy,
-            network,
-            &mut self.srcs[source.0],
-            source,
-            kind,
-            req_bytes,
-            resp_bytes,
-            spent,
-        )
-    }
-}
-
-/// A ledger entry for a dropped remote step: nothing delivered, but the
-/// failed attempts that led to giving up are still charged.
-pub(crate) fn dropped_entry(
-    step: usize,
-    kind: StepKind,
-    source: SourceId,
-    attempts: usize,
-    failed: Cost,
-) -> LedgerEntry {
-    LedgerEntry {
-        step,
-        kind,
-        source: Some(source),
-        comm: Cost::ZERO,
-        proc: Cost::ZERO,
-        round_trips: 0,
-        items_out: 0,
-        attempts,
-        failed_cost: failed,
-    }
-}
-
-/// What a fault-aware remote step came back with: the delivered value
-/// plus its entry, or the entry of a dropped step (dead source or retry
-/// exhaustion — the caller decides whether dropping is sound).
-pub(crate) enum FtFetched<T> {
-    Done(T, LedgerEntry),
-    Dropped(LedgerEntry),
-}
-
-/// Fault-aware selection step: dead sources are dropped up front;
-/// otherwise the exchange runs through the retry loop.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_sq_ft<E: Exchanger>(
-    idx: usize,
-    source: SourceId,
-    cond: &Condition,
-    sources: &SourceSet,
-    network: &mut E,
-    policy: &RetryPolicy,
-    ft: &mut SourceFt,
-    spent: Cost,
-) -> Result<FtFetched<ItemSet>> {
-    let kind = StepKind::Selection;
-    if ft.dead {
-        return Ok(FtFetched::Dropped(dropped_entry(
-            idx,
-            kind,
-            source,
-            0,
-            Cost::ZERO,
-        )));
-    }
-    let w = sources.get(source);
-    let resp = w.select(cond)?;
-    let req_bytes = MessageSize::sq_request(cond);
-    let resp_bytes = MessageSize::items_response(&resp.payload);
-    Ok(
-        match retry_loop(
-            policy,
-            network,
-            ft,
-            source,
-            ExchangeKind::Selection,
-            req_bytes,
-            resp_bytes,
-            spent,
-        ) {
-            Attempted::Delivered {
-                comm,
-                attempts,
-                failed,
-            } => {
-                let proc = Cost::new(
-                    w.processing()
-                        .cost(resp.tuples_examined, resp.payload.len()),
-                );
-                FtFetched::Done(
-                    resp.payload.clone(),
-                    LedgerEntry {
-                        step: idx,
-                        kind,
-                        source: Some(source),
-                        comm,
-                        proc,
-                        round_trips: 1,
-                        items_out: resp.payload.len(),
-                        attempts,
-                        failed_cost: failed,
-                    },
-                )
-            }
-            Attempted::Exhausted { attempts, failed } => {
-                FtFetched::Dropped(dropped_entry(idx, kind, source, attempts, failed))
-            }
-        },
-    )
-}
-
-/// Fault-aware Bloom semijoin step.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_bloom_ft<E: Exchanger>(
-    idx: usize,
-    source: SourceId,
-    cond: &Condition,
-    bindings: &ItemSet,
-    bits: u8,
-    sources: &SourceSet,
-    network: &mut E,
-    policy: &RetryPolicy,
-    ft: &mut SourceFt,
-    spent: Cost,
-) -> Result<FtFetched<ItemSet>> {
-    let kind = StepKind::BloomSemijoin;
-    if ft.dead {
-        return Ok(FtFetched::Dropped(dropped_entry(
-            idx,
-            kind,
-            source,
-            0,
-            Cost::ZERO,
-        )));
-    }
-    let w = sources.get(source);
-    let filter = fusion_types::BloomFilter::build(bindings, bits as f64);
-    let resp = w.bloom_semijoin(cond, &filter)?;
-    let req_bytes = MessageSize::sq_request(cond) + filter.wire_size();
-    let resp_bytes = MessageSize::items_response(&resp.payload);
-    Ok(
-        match retry_loop(
-            policy,
-            network,
-            ft,
-            source,
-            ExchangeKind::BloomSemijoin,
-            req_bytes,
-            resp_bytes,
-            spent,
-        ) {
-            Attempted::Delivered {
-                comm,
-                attempts,
-                failed,
-            } => {
-                let proc = Cost::new(
-                    w.processing()
-                        .cost(resp.tuples_examined, resp.payload.len()),
-                );
-                FtFetched::Done(
-                    resp.payload.clone(),
-                    LedgerEntry {
-                        step: idx,
-                        kind,
-                        source: Some(source),
-                        comm,
-                        proc,
-                        round_trips: 1,
-                        items_out: resp.payload.len(),
-                        attempts,
-                        failed_cost: failed,
-                    },
-                )
-            }
-            Attempted::Exhausted { attempts, failed } => {
-                FtFetched::Dropped(dropped_entry(idx, kind, source, attempts, failed))
-            }
-        },
-    )
-}
-
-/// Fault-aware full-load step; the caller turns delivered rows into a
-/// [`Relation`] (or an empty one for a dropped load).
-pub(crate) fn exec_lq_ft<E: Exchanger>(
-    idx: usize,
-    source: SourceId,
-    sources: &SourceSet,
-    network: &mut E,
-    policy: &RetryPolicy,
-    ft: &mut SourceFt,
-    spent: Cost,
-) -> Result<FtFetched<Vec<Tuple>>> {
-    let kind = StepKind::Load;
-    if ft.dead {
-        return Ok(FtFetched::Dropped(dropped_entry(
-            idx,
-            kind,
-            source,
-            0,
-            Cost::ZERO,
-        )));
-    }
-    let w = sources.get(source);
-    let resp = w.load()?;
-    let req_bytes = MessageSize::lq_request();
-    let resp_bytes = MessageSize::tuples_response(&resp.payload);
-    Ok(
-        match retry_loop(
-            policy,
-            network,
-            ft,
-            source,
-            ExchangeKind::Load,
-            req_bytes,
-            resp_bytes,
-            spent,
-        ) {
-            Attempted::Delivered {
-                comm,
-                attempts,
-                failed,
-            } => {
-                let proc = Cost::new(
-                    w.processing()
-                        .cost(resp.tuples_examined, resp.payload.len()),
-                );
-                let entry = LedgerEntry {
-                    step: idx,
-                    kind,
-                    source: Some(source),
-                    comm,
-                    proc,
-                    round_trips: 1,
-                    items_out: resp.payload.len(),
-                    attempts,
-                    failed_cost: failed,
-                };
-                FtFetched::Done(resp.payload, entry)
-            }
-            Attempted::Exhausted { attempts, failed } => {
-                FtFetched::Dropped(dropped_entry(idx, kind, source, attempts, failed))
-            }
-        },
-    )
+    let state = ExecState::new(plan, query, sources, false)?;
+    run_sequential(state, plan, network, None, None)
 }
 
 /// Fault-tolerant variant of [`execute_plan`]: retries failed exchanges
@@ -911,8 +196,11 @@ pub(crate) fn exec_lq_ft<E: Exchanger>(
 ///
 /// The outcome's [`Completeness`] reports `Exact` when nothing was
 /// dropped, otherwise `Subset` with the dead sources and weakened
-/// conditions. With a trivial fault plan (or none), the outcome is
-/// byte-identical to [`execute_plan`]'s apart from the attempt counters.
+/// conditions. With a trivial fault plan (or none), the answer, ledger,
+/// completeness and exchange trace are byte-identical to
+/// [`execute_plan`]'s; only the network's attempt cursor differs
+/// ([`Network::try_exchange`] advances it, [`Network::exchange`] does
+/// not).
 ///
 /// # Errors
 /// Fails on structurally invalid or semantically unsound plans,
@@ -925,184 +213,408 @@ pub fn execute_plan_ft(
     network: &mut Network,
     policy: &RetryPolicy,
 ) -> Result<ExecutionOutcome> {
-    run_sequential_ft(plan, query, sources, network, policy, None)
+    let state = ExecState::new(plan, query, sources, true)?;
+    run_sequential(state, plan, network, Some(policy), None)
 }
 
-/// The fault-tolerant sequential loop, with or without an answer cache.
-/// `None` is [`execute_plan_ft`]. With a cache, selections are looked up
-/// *before* the dead-source check — a hit needs no network and is immune
-/// to faults — misses fetch full records, and the run ends by bumping
-/// the epoch of every source that failed an exchange (fault recovery)
-/// and admitting the rest of the fresh answers.
-pub(crate) fn run_sequential_ft(
+/// The sequential execution loop behind every sequential entry point.
+/// `policy` runs exchanges through the retry loop and drops the steps of
+/// dead sources ([`execute_plan_ft`]). `cache` serves selections from the
+/// answer cache (free `sq(cache)` / `sq(residual)` entries), fetches
+/// misses as full records, and ends the run by bumping the epoch of every
+/// source that failed an exchange and admitting the rest of the fresh
+/// answers — see [`crate::cached`] for the contract.
+pub(crate) fn run_sequential(
+    mut state: ExecState<'_>,
     plan: &Plan,
-    query: &FusionQuery,
-    sources: &SourceSet,
     network: &mut Network,
-    policy: &RetryPolicy,
+    policy: Option<&RetryPolicy>,
     mut cache: Option<&mut AnswerCache>,
 ) -> Result<ExecutionOutcome> {
-    let mut analysis = fusion_core::analyze::analyze_plan(plan)?;
-    if let fusion_core::analyze::Verdict::Refuted(cx) = analysis.verdict() {
-        return Err(FusionError::invalid_plan(format!(
-            "refusing to execute a semantically unsound plan: it does not \
-             compute the fusion query.\n{cx}"
-        )));
-    }
-    plan.validate()?;
-    if query.m() != plan.n_conditions {
-        return Err(FusionError::invalid_plan(format!(
-            "plan expects {} conditions, query has {}",
-            plan.n_conditions,
-            query.m()
-        )));
-    }
-    if sources.len() != plan.n_sources {
-        return Err(FusionError::invalid_plan(format!(
-            "plan expects {} sources, got {}",
-            plan.n_sources,
-            sources.len()
-        )));
-    }
-    let conditions = query.conditions();
-    let mut vars: Vec<Option<ItemSet>> = vec![None; plan.var_names.len()];
-    let mut rels: Vec<Option<Relation>> = vec![None; plan.rel_names.len()];
-    let mut rel_dropped = vec![false; plan.rel_names.len()];
-    let mut ledger = CostLedger::new();
-    let mut st = FtState::new(policy, plan.n_sources);
-    let mut dropped: Vec<usize> = Vec::new();
-    let mut missing_conds: Vec<CondId> = Vec::new();
-    let mut pending: Vec<PendingInsert> = Vec::new();
-    // Per-source failed-exchange counts before the run: any increase by
-    // the end means the source went through fault recovery.
-    let failed_before: Vec<usize> = if cache.is_some() {
-        (0..plan.n_sources)
-            .map(|j| network.failed_count_for(SourceId(j)))
-            .collect()
-    } else {
-        Vec::new()
+    let mut ft = policy.map(|p| FtState::new(p, plan.n_sources));
+    let failed_before = match cache {
+        Some(_) => failed_counts(network, plan.n_sources),
+        None => Vec::new(),
     };
-
-    for (idx, step) in plan.steps.iter().enumerate() {
-        if step.source().is_none() {
-            if let Step::LocalSq { cond, rel, .. } = step {
-                if rel_dropped[rel.0] {
-                    missing_conds.push(*cond);
-                }
-            }
-            let entry = exec_local_step(idx, step, conditions, &mut vars, &rels)?;
-            ledger.push(entry);
-            continue;
-        }
-        if let Step::Sq { out, cond, source } = step {
-            // Cache lookup comes before the dead-source check: a hit
-            // never touches the network, so a dead source can still
-            // serve from cache.
-            let served = match cache.as_deref_mut() {
-                Some(cache) => cache.lookup(*source, &conditions[cond.0], query.schema())?,
-                None => None,
-            };
-            if let Some(served) = served {
-                ledger.push(served_entry(idx, *source, &served));
-                vars[out.0] = Some(served.items);
-                continue;
-            }
-        }
-        let spent = ledger.total();
-        let records = cache.is_some().then(|| query.schema());
-        let source = step.source().expect("remote step has a source");
-        let done = dispatch_remote_step(
-            idx,
-            step,
-            conditions,
-            sources,
-            network,
-            &vars,
-            Some((policy, st.src_mut(source))),
-            spent,
-            records,
-        )?;
-        let refetch = done.entry.comm + done.entry.proc;
-        ledger.push(done.entry);
-        apply_step_done(
-            plan,
-            query.schema(),
-            conditions,
-            idx,
-            done.value,
-            refetch,
-            &mut vars,
-            &mut rels,
-            &mut rel_dropped,
-            &mut pending,
-            &mut dropped,
-            &mut missing_conds,
-            Some(&mut analysis),
-        )?;
+    for idx in 0..plan.steps.len() {
+        state.step_sequential(plan, idx, network, ft.as_mut(), cache.as_deref_mut())?;
     }
-    let answer = vars[plan.result.0]
-        .clone()
-        .expect("validated: result defined");
-    let completeness = if dropped.is_empty() {
-        Completeness::Exact
-    } else {
-        let mut missing_sources: Vec<SourceId> = dropped
-            .iter()
-            .filter_map(|&i| plan.steps[i].source())
-            .collect();
-        missing_sources.sort_unstable();
-        missing_sources.dedup();
-        missing_conds.sort_unstable();
-        missing_conds.dedup();
-        Completeness::Subset {
-            missing_sources,
-            missing_conditions: missing_conds,
-        }
-    };
+    let (outcome, pending) = state.finish(plan);
     if let Some(cache) = cache {
-        let mut failed = vec![false; plan.n_sources];
-        for (j, before) in failed_before.iter().enumerate() {
-            if network.failed_count_for(SourceId(j)) > *before {
-                failed[j] = true;
-                // Fault recovery: the source's state may have changed
-                // while it was unreachable, so its cached entries die.
-                cache.bump_epoch(SourceId(j));
-            }
-        }
-        commit_inserts(cache, pending, completeness.is_exact(), &failed);
+        let exact = outcome.completeness.is_exact();
+        commit_run(cache, network, &failed_before, pending, exact);
     }
-    Ok(ExecutionOutcome {
-        answer,
-        ledger,
-        completeness,
-    })
+    Ok(outcome)
 }
 
-/// What a fault-aware semijoin came back with.
-pub(crate) enum SjResult {
-    /// The semijoin completed; push the entry and bind the items.
-    Done(ItemSet, LedgerEntry),
-    /// The source was given up on. The entry carries the costs already
-    /// paid (delivered batches and failed attempts); the step's value
-    /// degrades to ∅ — a partially-probed semijoin is not a sound value.
+// ---------------------------------------------------------------------
+// The step layer
+// ---------------------------------------------------------------------
+
+/// One source's fault-handling state: whether it was given up on, and
+/// the consecutive-failure count feeding its circuit breaker.
+///
+/// The parallel executor keeps one of these per source behind a mutex;
+/// the sequential executors keep a plain vector inside [`FtState`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SourceFt {
+    /// Given up on (outage, tripped breaker, retry exhaustion).
+    pub(crate) dead: bool,
+    /// Consecutive failures (circuit-breaker input).
+    pub(crate) consecutive: usize,
+}
+
+/// Per-query fault-handling state of the sequential executors.
+pub(crate) struct FtState<'a> {
+    policy: &'a RetryPolicy,
+    /// Per-source breaker/death state.
+    srcs: Vec<SourceFt>,
+}
+
+impl<'a> FtState<'a> {
+    /// Fresh state: all sources alive, breakers reset.
+    pub(crate) fn new(policy: &'a RetryPolicy, n_sources: usize) -> FtState<'a> {
+        FtState {
+            policy,
+            srcs: vec![SourceFt::default(); n_sources],
+        }
+    }
+
+    /// Whether `source` has been given up on.
+    pub(crate) fn dead(&self, source: SourceId) -> bool {
+        self.srcs[source.0].dead
+    }
+
+    /// The policy and `source`'s fault state, as a [`Wire`] carries them.
+    pub(crate) fn src(&mut self, source: SourceId) -> (&'a RetryPolicy, &mut SourceFt) {
+        (self.policy, &mut self.srcs[source.0])
+    }
+}
+
+/// Result of pushing one exchange through a [`Wire`].
+pub(crate) enum Attempted {
+    /// The exchange went through; `failed` covers earlier failed tries
+    /// and backoff waits.
+    Delivered {
+        comm: Cost,
+        attempts: usize,
+        failed: Cost,
+    },
+    /// The policy's patience ran out; the source is now dead.
+    Exhausted { attempts: usize, failed: Cost },
+}
+
+/// How a remote step reaches its source. Without fault state (`ft` is
+/// `None`) every exchange is the infallible [`Exchanger::exchange`]: it
+/// consumes no fault-schedule slot and leaves the network's attempt
+/// cursor alone. With the retry policy and the source's fault state
+/// attached, every exchange runs through the retry loop. `spent` is the
+/// cost executed before the step — the basis of the policy deadline.
+pub(crate) struct Wire<'a, E> {
+    pub(crate) net: &'a mut E,
+    pub(crate) ft: Option<(&'a RetryPolicy, &'a mut SourceFt)>,
+    pub(crate) spent: Cost,
+}
+
+impl<'a, E: Exchanger> Wire<'a, E> {
+    /// A wire without fault tolerance.
+    pub(crate) fn plain(net: &'a mut E) -> Wire<'a, E> {
+        Wire {
+            net,
+            ft: None,
+            spent: Cost::ZERO,
+        }
+    }
+
+    /// Whether the source was already given up on.
+    pub(crate) fn dead(&self) -> bool {
+        self.ft.as_ref().is_some_and(|(_, ft)| ft.dead)
+    }
+
+    /// The dropped outcome of a step whose source was already given up
+    /// on, or `None` when the step should run.
+    pub(crate) fn gone<T>(
+        &self,
+        idx: usize,
+        kind: StepKind,
+        source: SourceId,
+    ) -> Option<Fetched<T>> {
+        self.dead()
+            .then(|| Fetched::Dropped(dropped_entry(idx, kind, source, 0, Cost::ZERO)))
+    }
+
+    /// Performs one exchange. `spent` is the cost executed so far,
+    /// checked against the policy deadline: once the budget is gone,
+    /// failures are final (no more retries).
+    pub(crate) fn attempt(
+        &mut self,
+        source: SourceId,
+        kind: ExchangeKind,
+        req_bytes: usize,
+        resp_bytes: usize,
+        spent: Cost,
+    ) -> Attempted {
+        let Some((policy, ft)) = &mut self.ft else {
+            return Attempted::Delivered {
+                comm: self.net.exchange(source, kind, req_bytes, resp_bytes),
+                attempts: 1,
+                failed: Cost::ZERO,
+            };
+        };
+        let mut failed = Cost::ZERO;
+        let mut attempts = 0usize;
+        loop {
+            attempts += 1;
+            match self.net.try_exchange(source, kind, req_bytes, resp_bytes) {
+                Ok(comm) => {
+                    ft.consecutive = 0;
+                    return Attempted::Delivered {
+                        comm,
+                        attempts,
+                        failed,
+                    };
+                }
+                Err(FailedExchange { kind: fault, cost }) => {
+                    failed += cost;
+                    ft.consecutive += 1;
+                    let give_up = fault == FaultKind::Outage
+                        || ft.consecutive >= policy.breaker_threshold
+                        || attempts >= policy.max_attempts
+                        || policy
+                            .deadline
+                            .is_some_and(|budget| spent + failed >= budget);
+                    if give_up {
+                        ft.dead = true;
+                        return Attempted::Exhausted { attempts, failed };
+                    }
+                    // Wait before retrying; the wait is charged as
+                    // failure cost (the mediator sits idle).
+                    failed += policy.backoff(source, attempts);
+                }
+            }
+        }
+    }
+
+    /// Prices a single-exchange step whose delivered `entry` is filled in
+    /// bar its exchange fields: delivered, the step yields `value`; given
+    /// up on, a dropped entry that still charges the failed attempts.
+    pub(crate) fn deliver<T>(
+        &mut self,
+        entry: &LedgerEntry,
+        kind: ExchangeKind,
+        req_bytes: usize,
+        resp_bytes: usize,
+        value: T,
+    ) -> Fetched<T> {
+        let source = entry.source.expect("remote step has a source");
+        match self.attempt(source, kind, req_bytes, resp_bytes, self.spent) {
+            Attempted::Delivered {
+                comm,
+                attempts,
+                failed,
+            } => Fetched::Done(
+                value,
+                LedgerEntry {
+                    comm,
+                    attempts,
+                    failed_cost: failed,
+                    ..*entry
+                },
+            ),
+            Attempted::Exhausted { attempts, failed } => Fetched::Dropped(dropped_entry(
+                entry.step, entry.kind, source, attempts, failed,
+            )),
+        }
+    }
+}
+
+/// A ledger entry for a dropped remote step: nothing delivered, but the
+/// failed attempts that led to giving up are still charged.
+pub(crate) fn dropped_entry(
+    step: usize,
+    kind: StepKind,
+    source: SourceId,
+    attempts: usize,
+    failed: Cost,
+) -> LedgerEntry {
+    LedgerEntry {
+        step,
+        kind,
+        source: Some(source),
+        comm: Cost::ZERO,
+        proc: Cost::ZERO,
+        round_trips: 0,
+        items_out: 0,
+        attempts,
+        failed_cost: failed,
+    }
+}
+
+/// The entry of a remote step before its exchange: one round trip, no
+/// communication priced yet.
+pub(crate) fn remote_entry(
+    step: usize,
+    kind: StepKind,
+    source: SourceId,
+    proc: f64,
+    items_out: usize,
+) -> LedgerEntry {
+    LedgerEntry {
+        step,
+        kind,
+        source: Some(source),
+        comm: Cost::ZERO,
+        proc: Cost::new(proc),
+        round_trips: 1,
+        items_out,
+        attempts: 1,
+        failed_cost: Cost::ZERO,
+    }
+}
+
+/// What a remote step came back with: the delivered value plus its
+/// entry, or — fault-tolerantly only — the entry of a dropped step (dead
+/// source or retry exhaustion; the caller decides whether dropping is
+/// sound). A dropped entry carries the costs already paid (delivered
+/// batches and failed attempts); the step's value degrades to ∅ — a
+/// partially-probed semijoin is not a sound value.
+pub(crate) enum Fetched<T> {
+    Done(T, LedgerEntry),
     Dropped(LedgerEntry),
 }
 
-/// Fault-aware semijoin: like [`run_semijoin`] but every exchange goes
-/// through the retry loop, and giving up yields [`SjResult::Dropped`]
-/// instead of an error.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_semijoin_ft<E: Exchanger>(
-    step: usize,
+impl<T> Fetched<T> {
+    fn into_done(self, value: impl FnOnce(T) -> StepValue) -> StepDone {
+        match self {
+            Fetched::Done(v, entry) => StepDone {
+                value: value(v),
+                entry,
+            },
+            Fetched::Dropped(entry) => StepDone {
+                value: StepValue::Dropped,
+                entry,
+            },
+        }
+    }
+
+    /// The delivered value of a step run without fault tolerance.
+    ///
+    /// # Panics
+    /// Panics on a dropped step: plain exchanges never give up.
+    pub(crate) fn delivered(self) -> (T, LedgerEntry) {
+        match self {
+            Fetched::Done(v, entry) => (v, entry),
+            Fetched::Dropped(_) => unreachable!("a plain exchange dropped a step"),
+        }
+    }
+}
+
+/// Executes one selection step: `sq(c, R)` plus its ledger entry.
+pub(crate) fn exec_sq<E: Exchanger>(
+    idx: usize,
     source: SourceId,
-    cond: &fusion_types::Condition,
+    cond: &Condition,
+    sources: &SourceSet,
+    mut wire: Wire<'_, E>,
+) -> Result<Fetched<ItemSet>> {
+    if let Some(gone) = wire.gone(idx, StepKind::Selection, source) {
+        return Ok(gone);
+    }
+    let w = sources.get(source);
+    let resp = w.select(cond)?;
+    let req_bytes = MessageSize::sq_request(cond);
+    let resp_bytes = MessageSize::items_response(&resp.payload);
+    let proc = w
+        .processing()
+        .cost(resp.tuples_examined, resp.payload.len());
+    let entry = remote_entry(idx, StepKind::Selection, source, proc, resp.payload.len());
+    Ok(wire.deliver(
+        &entry,
+        ExchangeKind::Selection,
+        req_bytes,
+        resp_bytes,
+        resp.payload,
+    ))
+}
+
+/// Executes one Bloom-filter semijoin step plus its ledger entry.
+pub(crate) fn exec_bloom<E: Exchanger>(
+    idx: usize,
+    source: SourceId,
+    cond: &Condition,
+    bindings: &ItemSet,
+    bits: u8,
+    sources: &SourceSet,
+    mut wire: Wire<'_, E>,
+) -> Result<Fetched<ItemSet>> {
+    if let Some(gone) = wire.gone(idx, StepKind::BloomSemijoin, source) {
+        return Ok(gone);
+    }
+    let w = sources.get(source);
+    let filter = fusion_types::BloomFilter::build(bindings, bits as f64);
+    let resp = w.bloom_semijoin(cond, &filter)?;
+    let req_bytes = MessageSize::sq_request(cond) + filter.wire_size();
+    let resp_bytes = MessageSize::items_response(&resp.payload);
+    let proc = w
+        .processing()
+        .cost(resp.tuples_examined, resp.payload.len());
+    let entry = remote_entry(
+        idx,
+        StepKind::BloomSemijoin,
+        source,
+        proc,
+        resp.payload.len(),
+    );
+    Ok(wire.deliver(
+        &entry,
+        ExchangeKind::BloomSemijoin,
+        req_bytes,
+        resp_bytes,
+        resp.payload,
+    ))
+}
+
+/// Executes one full-load step `lq(R)` plus its ledger entry; the caller
+/// turns the rows into a [`Relation`] under the query schema (or an empty
+/// one for a dropped load).
+pub(crate) fn exec_lq<E: Exchanger>(
+    idx: usize,
+    source: SourceId,
+    sources: &SourceSet,
+    mut wire: Wire<'_, E>,
+) -> Result<Fetched<Vec<Tuple>>> {
+    if let Some(gone) = wire.gone(idx, StepKind::Load, source) {
+        return Ok(gone);
+    }
+    let w = sources.get(source);
+    let resp = w.load()?;
+    let req_bytes = MessageSize::lq_request();
+    let resp_bytes = MessageSize::tuples_response(&resp.payload);
+    let proc = w
+        .processing()
+        .cost(resp.tuples_examined, resp.payload.len());
+    let entry = remote_entry(idx, StepKind::Load, source, proc, resp.payload.len());
+    Ok(wire.deliver(
+        &entry,
+        ExchangeKind::Load,
+        req_bytes,
+        resp_bytes,
+        resp.payload,
+    ))
+}
+
+/// Executes one semijoin query, natively or by emulation. Emulation is
+/// one passed-binding probe per batch of bindings (§2.3); when the source
+/// is given up on mid-way, the batches already delivered stay paid for
+/// and the step is dropped.
+pub(crate) fn run_semijoin<E: Exchanger>(
+    idx: usize,
+    source: SourceId,
+    cond: &Condition,
     bindings: &ItemSet,
     sources: &SourceSet,
-    network: &mut E,
-    policy: &RetryPolicy,
-    ft: &mut SourceFt,
-    spent: Cost,
-) -> Result<SjResult> {
+    mut wire: Wire<'_, E>,
+) -> Result<Fetched<ItemSet>> {
     let w = sources.get(source);
     let caps = *w.capabilities();
     let kind = if caps.native_semijoin {
@@ -1110,78 +622,42 @@ pub(crate) fn run_semijoin_ft<E: Exchanger>(
     } else {
         StepKind::EmulatedSemijoin
     };
+    let mut entry = LedgerEntry {
+        step: idx,
+        kind,
+        source: Some(source),
+        comm: Cost::ZERO,
+        proc: Cost::ZERO,
+        round_trips: 0,
+        items_out: 0,
+        attempts: 0,
+        failed_cost: Cost::ZERO,
+    };
     if bindings.is_empty() {
-        // Free local no-op — no network, so no fault exposure.
-        let entry = LedgerEntry {
-            step,
-            kind,
-            source: Some(source),
-            comm: Cost::ZERO,
-            proc: Cost::ZERO,
-            round_trips: 0,
-            items_out: 0,
-            attempts: 0,
-            failed_cost: Cost::ZERO,
-        };
-        return Ok(SjResult::Done(ItemSet::empty(), entry));
+        // X ⋉ ∅ = ∅: both the native and the emulated path resolve this
+        // at the mediator for free — no round trip, no source work, no
+        // fault exposure. The cost estimator agrees
+        // (NetworkCostModel::sjq_cost at k = 0).
+        return Ok(Fetched::Done(ItemSet::empty(), entry));
     }
-    if ft.dead {
-        return Ok(SjResult::Dropped(dropped_entry(
-            step,
-            kind,
-            source,
-            0,
-            Cost::ZERO,
-        )));
+    if let Some(gone) = wire.gone(idx, kind, source) {
+        return Ok(gone);
     }
     if caps.native_semijoin {
         let resp = w.semijoin(cond, bindings)?;
         let req_bytes = MessageSize::sjq_request(cond, bindings);
         let resp_bytes = MessageSize::items_response(&resp.payload);
-        return Ok(
-            match retry_loop(
-                policy,
-                network,
-                ft,
-                source,
-                ExchangeKind::Semijoin,
-                req_bytes,
-                resp_bytes,
-                spent,
-            ) {
-                Attempted::Delivered {
-                    comm,
-                    attempts,
-                    failed,
-                } => {
-                    let proc = Cost::new(
-                        w.processing()
-                            .cost(resp.tuples_examined, resp.payload.len()),
-                    );
-                    SjResult::Done(
-                        resp.payload.clone(),
-                        LedgerEntry {
-                            step,
-                            kind: StepKind::Semijoin,
-                            source: Some(source),
-                            comm,
-                            proc,
-                            round_trips: 1,
-                            items_out: resp.payload.len(),
-                            attempts,
-                            failed_cost: failed,
-                        },
-                    )
-                }
-                Attempted::Exhausted { attempts, failed } => SjResult::Dropped(dropped_entry(
-                    step,
-                    StepKind::Semijoin,
-                    source,
-                    attempts,
-                    failed,
-                )),
-            },
-        );
+        let proc = w
+            .processing()
+            .cost(resp.tuples_examined, resp.payload.len());
+        let entry = remote_entry(idx, kind, source, proc, resp.payload.len());
+        return Ok(wire.deliver(
+            &entry,
+            ExchangeKind::Semijoin,
+            req_bytes,
+            resp_bytes,
+            resp.payload,
+        ));
     }
     if !caps.passed_bindings {
         return Err(FusionError::Unsupported {
@@ -1191,84 +667,52 @@ pub(crate) fn run_semijoin_ft<E: Exchanger>(
             ),
         });
     }
-    let batch_size = caps.binding_batch.max(1);
-    let mut result = ItemSet::empty();
-    let mut comm = Cost::ZERO;
-    let mut proc = Cost::ZERO;
-    let mut round_trips = 0usize;
-    let mut attempts = 0usize;
-    let mut failed = Cost::ZERO;
-    let items: Vec<_> = bindings.iter().cloned().collect();
-    for chunk in items.chunks(batch_size) {
-        let batch = ItemSet::from_items(chunk.iter().cloned());
+    let mut answers: Vec<ItemSet> = Vec::new();
+    for chunk in bindings.as_slice().chunks(caps.binding_batch.max(1)) {
+        let batch = ItemSet::from_sorted_unique(chunk.to_vec());
         let resp = w.probe(cond, &batch)?;
         let req_bytes = MessageSize::sjq_request(cond, &batch);
         let resp_bytes = MessageSize::items_response(&resp.payload);
-        match retry_loop(
-            policy,
-            network,
-            ft,
+        let spent = wire.spent + entry.comm + entry.proc + entry.failed_cost;
+        match wire.attempt(
             source,
             ExchangeKind::BindingProbe,
             req_bytes,
             resp_bytes,
-            spent + comm + proc + failed,
+            spent,
         ) {
             Attempted::Delivered {
-                comm: c,
-                attempts: a,
-                failed: f,
+                comm,
+                attempts,
+                failed,
             } => {
-                comm += c;
-                proc += Cost::new(
+                entry.comm += comm;
+                entry.proc += Cost::new(
                     w.processing()
                         .cost(resp.tuples_examined, resp.payload.len()),
                 );
-                round_trips += 1;
-                attempts += a;
-                failed += f;
-                result = result.union(&resp.payload);
+                entry.round_trips += 1;
+                entry.attempts += attempts;
+                entry.failed_cost += failed;
+                answers.push(resp.payload);
             }
-            Attempted::Exhausted {
-                attempts: a,
-                failed: f,
-            } => {
-                // Batches already delivered stay paid for; the value is
-                // discarded (items_out = 0) and the caller drops the step.
-                attempts += a;
-                failed += f;
-                return Ok(SjResult::Dropped(LedgerEntry {
-                    step,
-                    kind: StepKind::EmulatedSemijoin,
-                    source: Some(source),
-                    comm,
-                    proc,
-                    round_trips,
-                    items_out: 0,
-                    attempts,
-                    failed_cost: failed,
-                }));
+            Attempted::Exhausted { attempts, failed } => {
+                // The value is discarded (items_out = 0) and the caller
+                // drops the step.
+                entry.attempts += attempts;
+                entry.failed_cost += failed;
+                return Ok(Fetched::Dropped(entry));
             }
         }
     }
-    let entry = LedgerEntry {
-        step,
-        kind: StepKind::EmulatedSemijoin,
-        source: Some(source),
-        comm,
-        proc,
-        round_trips,
-        items_out: result.len(),
-        attempts,
-        failed_cost: failed,
-    };
-    Ok(SjResult::Done(result, entry))
+    let result = ItemSet::union_all(&answers);
+    entry.items_out = result.len();
+    Ok(Fetched::Done(result, entry))
 }
 
 /// What a remote step hands back to its executor: the step's value plus
-/// its ledger entry. The shared currency of the sequential, parallel,
-/// and replay executors — [`dispatch_remote_step`] produces it,
-/// [`apply_step_done`] folds it into executor state.
+/// its ledger entry. [`dispatch_remote_step`] produces it,
+/// [`ExecState::apply`] folds it into executor state.
 pub(crate) struct StepDone {
     pub(crate) value: StepValue,
     pub(crate) entry: LedgerEntry,
@@ -1283,258 +727,393 @@ pub(crate) enum StepValue {
     CachedItems(ItemSet, Vec<Tuple>),
     /// A delivered full load.
     Rows(Vec<Tuple>),
-    /// A dropped item-set step (fault-tolerant mode only).
-    DroppedItems,
-    /// A dropped full load (fault-tolerant mode only).
-    DroppedRows,
+    /// A dropped step (fault-tolerant mode only).
+    Dropped,
 }
 
-/// Executes one remote step — the single step-dispatch every executor
-/// family (sequential, parallel, cached, replay) goes through, so their
-/// per-step behavior cannot drift apart. Its shared-state footprint is
-/// what the static analysis says it is: the step's input variables, the
-/// step's source shard (exchange + fault cursor), nothing else.
+/// Executes one remote step — the single step dispatch every executor
+/// family (sequential, parallel, cached, replay, reopt, server) goes
+/// through, so their per-step behavior cannot drift apart. Its
+/// shared-state footprint is what the static analysis says it is: the
+/// step's input variables, the step's source shard (exchange + fault
+/// cursor), nothing else.
 ///
-/// `ft` carries the retry policy and the step's source fault state in
-/// fault-tolerant mode. `records` marks a cached run: selection misses
-/// fetch full records (sized as such) for later admission. Cache *hits*
-/// never reach this function — callers resolve them beforehand.
+/// `records` marks a cached run: selection misses fetch full records
+/// (sized as such) for later admission. Cache *hits* never reach this
+/// function — callers resolve them beforehand.
 ///
 /// # Panics
 /// Panics when called with a mediator-local step.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn dispatch_remote_step<E: Exchanger>(
     idx: usize,
     step: &Step,
     conditions: &[Condition],
     sources: &SourceSet,
-    network: &mut E,
     vars: &[Option<ItemSet>],
-    ft: Option<(&RetryPolicy, &mut SourceFt)>,
-    spent: Cost,
+    wire: Wire<'_, E>,
     records: Option<&Schema>,
 ) -> Result<StepDone> {
-    let items_done = |value: FtFetched<ItemSet>| match value {
-        FtFetched::Done(items, entry) => StepDone {
-            value: StepValue::Items(items),
-            entry,
-        },
-        FtFetched::Dropped(entry) => StepDone {
-            value: StepValue::DroppedItems,
-            entry,
-        },
-    };
-    match (step, ft) {
-        (Step::Sq { cond, source, .. }, None) => {
+    let bound = |v: usize| vars[v].as_ref().expect("validated: def before use");
+    Ok(match step {
+        Step::Sq { cond, source, .. } => {
             let c = &conditions[cond.0];
-            if let Some(schema) = records {
-                let (items, rows, entry) =
-                    exec_sq_records(idx, *source, c, schema, sources, network)?;
-                return Ok(StepDone {
-                    value: StepValue::CachedItems(items, rows),
-                    entry,
-                });
-            }
-            let (items, entry) = exec_sq(idx, *source, c, sources, network)?;
-            Ok(StepDone {
-                value: StepValue::Items(items),
-                entry,
-            })
-        }
-        (Step::Sq { cond, source, .. }, Some((policy, ft))) => {
-            let c = &conditions[cond.0];
-            if let Some(schema) = records {
-                return Ok(
-                    match exec_sq_records_ft(
-                        idx, *source, c, schema, sources, network, policy, ft, spent,
-                    )? {
-                        FtFetched::Done((items, rows), entry) => StepDone {
-                            value: StepValue::CachedItems(items, rows),
-                            entry,
-                        },
-                        FtFetched::Dropped(entry) => StepDone {
-                            value: StepValue::DroppedItems,
-                            entry,
-                        },
-                    },
-                );
-            }
-            Ok(items_done(exec_sq_ft(
-                idx, *source, c, sources, network, policy, ft, spent,
-            )?))
-        }
-        (
-            Step::Sjq {
-                cond,
-                source,
-                input,
-                ..
-            },
-            ft,
-        ) => {
-            let bindings = vars[input.0].clone().expect("validated: def before use");
-            let c = &conditions[cond.0];
-            match ft {
-                None => {
-                    let (items, entry) =
-                        run_semijoin(idx, *source, c, &bindings, sources, network)?;
-                    Ok(StepDone {
-                        value: StepValue::Items(items),
-                        entry,
-                    })
-                }
-                Some((policy, ft)) => Ok(
-                    match run_semijoin_ft(
-                        idx, *source, c, &bindings, sources, network, policy, ft, spent,
-                    )? {
-                        SjResult::Done(items, entry) => StepDone {
-                            value: StepValue::Items(items),
-                            entry,
-                        },
-                        SjResult::Dropped(entry) => StepDone {
-                            value: StepValue::DroppedItems,
-                            entry,
-                        },
-                    },
-                ),
+            match records {
+                Some(schema) => exec_sq_records(idx, *source, c, schema, sources, wire)?
+                    .into_done(|(items, rows)| StepValue::CachedItems(items, rows)),
+                None => exec_sq(idx, *source, c, sources, wire)?.into_done(StepValue::Items),
             }
         }
-        (
-            Step::SjqBloom {
-                cond,
-                source,
-                input,
-                bits,
-                ..
-            },
-            ft,
-        ) => {
-            let bindings = vars[input.0].clone().expect("validated: def before use");
+        Step::Sjq {
+            cond,
+            source,
+            input,
+            ..
+        } => {
             let c = &conditions[cond.0];
-            match ft {
-                None => {
-                    let (items, entry) =
-                        exec_bloom(idx, *source, c, &bindings, *bits, sources, network)?;
-                    Ok(StepDone {
-                        value: StepValue::Items(items),
-                        entry,
-                    })
-                }
-                Some((policy, ft)) => Ok(items_done(exec_bloom_ft(
-                    idx, *source, c, &bindings, *bits, sources, network, policy, ft, spent,
-                )?)),
-            }
+            run_semijoin(idx, *source, c, bound(input.0), sources, wire)?
+                .into_done(StepValue::Items)
         }
-        (Step::Lq { source, .. }, None) => {
-            let (rows, entry) = exec_lq(idx, *source, sources, network)?;
-            Ok(StepDone {
-                value: StepValue::Rows(rows),
-                entry,
-            })
+        Step::SjqBloom {
+            cond,
+            source,
+            input,
+            bits,
+            ..
+        } => {
+            let c = &conditions[cond.0];
+            exec_bloom(idx, *source, c, bound(input.0), *bits, sources, wire)?
+                .into_done(StepValue::Items)
         }
-        (Step::Lq { source, .. }, Some((policy, ft))) => Ok(
-            match exec_lq_ft(idx, *source, sources, network, policy, ft, spent)? {
-                FtFetched::Done(rows, entry) => StepDone {
-                    value: StepValue::Rows(rows),
-                    entry,
-                },
-                FtFetched::Dropped(entry) => StepDone {
-                    value: StepValue::DroppedRows,
-                    entry,
-                },
-            },
-        ),
-        (local, _) => panic!("dispatch_remote_step called with local step {local:?}"),
-    }
+        Step::Lq { source, .. } => exec_lq(idx, *source, sources, wire)?.into_done(StepValue::Rows),
+        local => panic!("dispatch_remote_step called with local step {local:?}"),
+    })
 }
 
-/// Drops step `idx`, verifying via the BDD analysis that the cumulative
-/// degraded plan still computes a subset of the fusion answer.
-fn check_droppable(
-    plan: &Plan,
-    idx: usize,
-    dropped: &mut Vec<usize>,
-    analysis: Option<&mut fusion_core::analyze::Analysis>,
-) -> Result<()> {
-    dropped.push(idx);
-    let analysis = analysis.expect("step dropped outside fault-tolerant mode");
-    if analysis.droppable(plan, dropped) {
-        Ok(())
-    } else {
-        Err(FusionError::execution(format!(
-            "source failure at step #{idx}: dropping it would not \
-             yield a sound subset of the fusion answer (the step's \
-             value is used non-monotonically); aborting instead"
-        )))
-    }
-}
+// ---------------------------------------------------------------------
+// Execution state
+// ---------------------------------------------------------------------
 
-/// Folds one completed remote step into executor state — the single
-/// fold shared by the sequential, parallel, and replay executors. The
-/// caller records `done.entry` in its own ledger slot (the one shared
-/// resource this function does not touch); `refetch` is that entry's
-/// fetch price, the cache eviction weight of a pending admission.
+/// One plan execution's state, shared by every plan executor: variable
+/// and relation bindings, one ledger slot per plan step, pending cache
+/// admissions, and the fault-tolerant drop bookkeeping together with the
+/// plan analysis that vets each drop.
 ///
-/// # Errors
-/// Fails when a dropped step cannot be soundly dropped (see
-/// [`check_droppable`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_step_done(
-    plan: &Plan,
-    schema: &Schema,
-    conditions: &[Condition],
-    idx: usize,
-    value: StepValue,
-    refetch: Cost,
-    vars: &mut [Option<ItemSet>],
-    rels: &mut [Option<Relation>],
-    rel_dropped: &mut [bool],
-    pending: &mut Vec<PendingInsert>,
-    dropped: &mut Vec<usize>,
-    missing_conds: &mut Vec<CondId>,
-    analysis: Option<&mut fusion_core::analyze::Analysis>,
-) -> Result<()> {
-    match (value, &plan.steps[idx]) {
-        (
-            StepValue::Items(items),
-            Step::Sq { out, .. } | Step::Sjq { out, .. } | Step::SjqBloom { out, .. },
-        ) => {
-            vars[out.0] = Some(items);
+/// The plan is passed to each method rather than held, so the adaptive
+/// executor can splice a new suffix in mid-run ([`ExecState::resize`]).
+pub(crate) struct ExecState<'q> {
+    pub(crate) query: &'q FusionQuery,
+    pub(crate) sources: &'q SourceSet,
+    pub(crate) vars: Vec<Option<ItemSet>>,
+    pub(crate) rels: Vec<Option<Relation>>,
+    /// Relations whose load was dropped (fault-tolerant mode only).
+    rel_dropped: Vec<bool>,
+    /// Per-step ledger entries, filled in as steps complete.
+    pub(crate) entries: Vec<Option<LedgerEntry>>,
+    /// Cache admissions waiting for the run to finish.
+    pub(crate) pending: Vec<PendingInsert>,
+    /// Dropped steps, in drop order.
+    dropped: Vec<usize>,
+    /// Conditions weakened by drops.
+    missing_conds: Vec<CondId>,
+    /// The guard's analysis (absent for unchecked runs).
+    analysis: Option<Analysis>,
+}
+
+impl<'q> ExecState<'q> {
+    /// Checks `plan` and sets up its execution state. With `guarded`,
+    /// the plan is first put through the semantic analyzer and refused
+    /// when it provably does not compute the fusion query; then it is
+    /// structurally validated and its shape checked against the query
+    /// and the sources.
+    ///
+    /// # Errors
+    /// Fails on semantically unsound (when guarded) or structurally
+    /// invalid plans, and on condition or source count mismatches.
+    pub(crate) fn new(
+        plan: &Plan,
+        query: &'q FusionQuery,
+        sources: &'q SourceSet,
+        guarded: bool,
+    ) -> Result<ExecState<'q>> {
+        let analysis = if guarded {
+            let analysis = analyze_plan(plan)?;
+            if let Verdict::Refuted(cx) = analysis.verdict() {
+                return Err(FusionError::invalid_plan(format!(
+                    "refusing to execute a semantically unsound plan: it does not \
+                     compute the fusion query.\n{cx}"
+                )));
+            }
+            Some(analysis)
+        } else {
+            None
+        };
+        plan.validate()?;
+        if query.m() != plan.n_conditions {
+            return Err(FusionError::invalid_plan(format!(
+                "plan expects {} conditions, query has {}",
+                plan.n_conditions,
+                query.m()
+            )));
         }
-        (StepValue::CachedItems(items, rows), Step::Sq { out, cond, source }) => {
-            pending.push(PendingInsert {
-                step: idx,
-                source: *source,
-                cond: conditions[cond.0].clone(),
-                rows,
-                refetch,
-            });
-            vars[out.0] = Some(items);
+        if sources.len() != plan.n_sources {
+            return Err(FusionError::invalid_plan(format!(
+                "plan expects {} sources, got {}",
+                plan.n_sources,
+                sources.len()
+            )));
         }
-        (StepValue::Rows(rows), Step::Lq { out, .. }) => {
-            rels[out.0] = Some(Relation::from_rows(schema.clone(), rows));
-        }
-        (
-            StepValue::DroppedItems,
-            Step::Sq { out, cond, .. }
-            | Step::Sjq { out, cond, .. }
-            | Step::SjqBloom { out, cond, .. },
-        ) => {
-            check_droppable(plan, idx, dropped, analysis)?;
-            missing_conds.push(*cond);
-            vars[out.0] = Some(ItemSet::empty());
-        }
-        (StepValue::DroppedRows, Step::Lq { out, .. }) => {
-            check_droppable(plan, idx, dropped, analysis)?;
-            // Later local selections over the relation run against an
-            // empty table and yield ∅ — exactly the degraded semantics
-            // the BDD check verified.
-            rels[out.0] = Some(Relation::from_rows(schema.clone(), vec![]));
-            rel_dropped[out.0] = true;
-        }
-        (_, step) => unreachable!("step/value shape mismatch at {step:?}"),
+        Ok(ExecState {
+            query,
+            sources,
+            vars: vec![None; plan.var_names.len()],
+            rels: vec![None; plan.rel_names.len()],
+            rel_dropped: vec![false; plan.rel_names.len()],
+            entries: vec![None; plan.steps.len()],
+            pending: Vec::new(),
+            dropped: Vec::new(),
+            missing_conds: Vec::new(),
+            analysis,
+        })
     }
-    Ok(())
+
+    /// Fits the bindings and ledger slots to `plan` after a certified
+    /// suffix splice (the executed prefix is shared by construction).
+    pub(crate) fn resize(&mut self, plan: &Plan) {
+        self.vars.resize(plan.var_names.len(), None);
+        self.rels.resize(plan.rel_names.len(), None);
+        self.rel_dropped.resize(plan.rel_names.len(), false);
+        self.entries.resize(plan.steps.len(), None);
+    }
+
+    /// Cost of the steps completed so far, in step order — the retry
+    /// deadline's basis.
+    pub(crate) fn spent(&self) -> Cost {
+        self.entries.iter().flatten().map(LedgerEntry::total).sum()
+    }
+
+    /// Whether no step has been dropped.
+    pub(crate) fn is_exact(&self) -> bool {
+        self.dropped.is_empty()
+    }
+
+    /// Executes step `idx` as the sequential loop does: a local step
+    /// folds in place, a selection `cache` serves is free (a hit needs no
+    /// network, so it comes before the dead-source check), and every
+    /// other remote step dispatches on `network` — through the retry loop
+    /// when `ft` is attached — and folds.
+    pub(crate) fn step_sequential(
+        &mut self,
+        plan: &Plan,
+        idx: usize,
+        network: &mut Network,
+        ft: Option<&mut FtState<'_>>,
+        cache: Option<&mut AnswerCache>,
+    ) -> Result<()> {
+        let step = &plan.steps[idx];
+        let Some(source) = step.source() else {
+            return self.exec_local(plan, idx);
+        };
+        let query = self.query;
+        let records = cache.is_some().then(|| query.schema());
+        if let (Step::Sq { cond, .. }, Some(cache)) = (step, cache) {
+            let c = &query.conditions()[cond.0];
+            if let Some(served) = cache.lookup(source, c, query.schema())? {
+                self.serve(plan, idx, served_entry(idx, source, &served), served.items);
+                return Ok(());
+            }
+        }
+        let wire = Wire {
+            net: network,
+            spent: if ft.is_some() {
+                self.spent()
+            } else {
+                Cost::ZERO
+            },
+            ft: ft.map(|st| st.src(source)),
+        };
+        let done = dispatch_remote_step(
+            idx,
+            step,
+            query.conditions(),
+            self.sources,
+            &self.vars,
+            wire,
+            records,
+        )?;
+        self.apply(plan, idx, done)
+    }
+
+    /// Executes mediator-local step `idx` (`LocalSq`, `Union`,
+    /// `Intersect`, `Diff`) into its free ledger slot. A local selection
+    /// over a dropped load weakens its condition.
+    ///
+    /// # Panics
+    /// Panics if called with a remote step.
+    pub(crate) fn exec_local(&mut self, plan: &Plan, idx: usize) -> Result<()> {
+        let vars = &self.vars;
+        let var = |v: usize| vars[v].as_ref().expect("validated");
+        let (out, items) = match &plan.steps[idx] {
+            Step::LocalSq { out, cond, rel } => {
+                if self.rel_dropped[rel.0] {
+                    self.missing_conds.push(*cond);
+                }
+                let relation = self.rels[rel.0]
+                    .as_ref()
+                    .expect("validated: loaded before use");
+                let c = &self.query.conditions()[cond.0];
+                (out, relation.select_items(c)?.items)
+            }
+            Step::Union { out, inputs } => {
+                let sets: Vec<&ItemSet> = inputs.iter().map(|v| var(v.0)).collect();
+                (out, ItemSet::union_all(sets))
+            }
+            Step::Intersect { out, inputs } => {
+                let (first, rest) = inputs.split_first().expect("validated");
+                let acc = rest
+                    .iter()
+                    .fold(var(first.0).clone(), |acc, v| acc.intersect(var(v.0)));
+                (out, acc)
+            }
+            Step::Diff { out, left, right } => (out, var(left.0).difference(var(right.0))),
+            remote => panic!("exec_local called with remote step {remote:?}"),
+        };
+        self.entries[idx] = Some(LedgerEntry {
+            step: idx,
+            kind: StepKind::Local,
+            source: None,
+            comm: Cost::ZERO,
+            proc: Cost::ZERO,
+            round_trips: 0,
+            items_out: items.len(),
+            attempts: 0,
+            failed_cost: Cost::ZERO,
+        });
+        self.vars[out.0] = Some(items);
+        Ok(())
+    }
+
+    /// Binds selection `idx` served without an exchange (a cache hit or
+    /// a shared fetch) with its free ledger entry.
+    pub(crate) fn serve(&mut self, plan: &Plan, idx: usize, entry: LedgerEntry, items: ItemSet) {
+        if let Step::Sq { out, .. } = &plan.steps[idx] {
+            self.vars[out.0] = Some(items);
+        }
+        self.entries[idx] = Some(entry);
+    }
+
+    /// Folds one completed remote step into the state — the single fold
+    /// every executor shares. A cached-mode miss queues its admission,
+    /// weighted by the entry's fetch price; a dropped step is first
+    /// checked against the plan analysis.
+    ///
+    /// # Errors
+    /// Fails when a dropped step cannot be soundly dropped.
+    pub(crate) fn apply(&mut self, plan: &Plan, idx: usize, done: StepDone) -> Result<()> {
+        let StepDone { value, entry } = done;
+        let refetch = entry.comm + entry.proc;
+        self.entries[idx] = Some(entry);
+        let schema = self.query.schema();
+        match (value, &plan.steps[idx]) {
+            (
+                StepValue::Items(items),
+                Step::Sq { out, .. } | Step::Sjq { out, .. } | Step::SjqBloom { out, .. },
+            ) => {
+                self.vars[out.0] = Some(items);
+            }
+            (StepValue::CachedItems(items, rows), Step::Sq { out, cond, source }) => {
+                self.pending.push(PendingInsert {
+                    step: idx,
+                    source: *source,
+                    cond: self.query.conditions()[cond.0].clone(),
+                    rows,
+                    refetch,
+                });
+                self.vars[out.0] = Some(items);
+            }
+            (StepValue::Rows(rows), Step::Lq { out, .. }) => {
+                self.rels[out.0] = Some(Relation::from_rows(schema.clone(), rows));
+            }
+            (
+                StepValue::Dropped,
+                Step::Sq { out, cond, .. }
+                | Step::Sjq { out, cond, .. }
+                | Step::SjqBloom { out, cond, .. },
+            ) => {
+                self.check_droppable(plan, idx)?;
+                self.missing_conds.push(*cond);
+                self.vars[out.0] = Some(ItemSet::empty());
+            }
+            (StepValue::Dropped, Step::Lq { out, .. }) => {
+                self.check_droppable(plan, idx)?;
+                // Later local selections over the relation run against an
+                // empty table and yield ∅ — exactly the degraded semantics
+                // the BDD check verified.
+                self.rels[out.0] = Some(Relation::from_rows(schema.clone(), vec![]));
+                self.rel_dropped[out.0] = true;
+            }
+            (_, step) => unreachable!("step/value shape mismatch at {step:?}"),
+        }
+        Ok(())
+    }
+
+    /// Drops step `idx`, verifying via the BDD analysis that the
+    /// cumulative degraded plan still computes a subset of the fusion
+    /// answer.
+    fn check_droppable(&mut self, plan: &Plan, idx: usize) -> Result<()> {
+        self.dropped.push(idx);
+        let analysis = self
+            .analysis
+            .as_mut()
+            .expect("steps are only dropped in guarded fault-tolerant runs");
+        if analysis.droppable(plan, &self.dropped) {
+            Ok(())
+        } else {
+            Err(FusionError::execution(format!(
+                "source failure at step #{idx}: dropping it would not \
+                 yield a sound subset of the fusion answer (the step's \
+                 value is used non-monotonically); aborting instead"
+            )))
+        }
+    }
+
+    /// The run's epilogue: the answer, the step-ordered ledger, the
+    /// completeness tag folded from the drops, and the cache admissions
+    /// still pending.
+    ///
+    /// # Panics
+    /// Panics if a step never executed.
+    pub(crate) fn finish(mut self, plan: &Plan) -> (ExecutionOutcome, Vec<PendingInsert>) {
+        let mut ledger = CostLedger::new();
+        for e in self.entries {
+            ledger.push(e.expect("every plan step executed"));
+        }
+        let answer = self.vars[plan.result.0]
+            .take()
+            .expect("validated: result defined");
+        let completeness = if self.dropped.is_empty() {
+            Completeness::Exact
+        } else {
+            let mut missing_sources: Vec<SourceId> = self
+                .dropped
+                .iter()
+                .filter_map(|&i| plan.steps[i].source())
+                .collect();
+            missing_sources.sort_unstable();
+            missing_sources.dedup();
+            self.missing_conds.sort_unstable();
+            self.missing_conds.dedup();
+            Completeness::Subset {
+                missing_sources,
+                missing_conditions: self.missing_conds,
+            }
+        };
+        let outcome = ExecutionOutcome {
+            answer,
+            ledger,
+            completeness,
+        };
+        (outcome, self.pending)
+    }
 }
 
 #[cfg(test)]

@@ -46,6 +46,19 @@
 //!   cache with admission control, per-source concurrency limits, and a
 //!   certified replayable operation log ([`replay_serial`] /
 //!   [`verify_replay_parity`] prove byte-parity with a serial run).
+//! * [`execute_plan_cached`] (and the parallel cached variants) serve
+//!   selections from a semantic [`fusion_cache::AnswerCache`] and admit
+//!   fresh answers after the run; [`execute_plan_replay`] replays one
+//!   explicit event order for the schedule model-checker;
+//!   [`execute_fetch_plan`] (and [`fetch_planned`]) run phase two's
+//!   certified covering fetch.
+//!
+//! The entry points share one core. `interp` holds the
+//! step layer (one executor per remote step kind, fault-tolerant or not
+//! by the wire it is given) and the execution state every plan executor
+//! shares (the guard, the fold and the completeness epilogue);
+//! `parallel` adds the one stage body the stage-parallel and reopt
+//! executors run on worker threads.
 //!
 //! [`FaultPlan`]: fusion_net::FaultPlan
 //!

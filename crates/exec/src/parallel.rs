@@ -40,22 +40,20 @@
 //! deadline set (the default), fault-tolerant parallel execution is
 //! byte-identical to sequential; with one, it may retry slightly more.
 
-use crate::cached::{commit_inserts, served_entry, PendingInsert};
+use crate::cached::{commit_run, failed_counts, served_entry};
 use crate::interp::{
-    apply_step_done, dispatch_remote_step, exec_local_step, ExecutionOutcome, SharedExchanger,
-    SourceFt, StepDone,
+    dispatch_remote_step, ExecState, ExecutionOutcome, SharedExchanger, SourceFt, StepDone, Wire,
 };
-use crate::ledger::{CostLedger, LedgerEntry};
-use crate::retry::{Completeness, RetryPolicy};
+use crate::retry::RetryPolicy;
 use crate::schedule::stage_schedule;
 use fusion_cache::{AnswerCache, Served};
 use fusion_core::plan::{Plan, Step};
 use fusion_core::query::FusionQuery;
 use fusion_net::Network;
 use fusion_source::SourceSet;
-use fusion_types::error::{FusionError, Result};
+use fusion_types::error::Result;
 use fusion_types::schema::Schema;
-use fusion_types::{CondId, Condition, Cost, ItemSet, Relation, SourceId};
+use fusion_types::{Cost, ItemSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -141,7 +139,7 @@ pub fn execute_plan_parallel(
     network: &mut Network,
     config: &ParallelConfig,
 ) -> Result<ParallelOutcome> {
-    run_parallel(plan, query, sources, network, Mode::Plain, config, None)
+    run_parallel(plan, query, sources, network, None, config, None)
 }
 
 /// Fault-tolerant [`execute_plan_parallel`]: byte-identical to
@@ -159,15 +157,7 @@ pub fn execute_plan_parallel_ft(
     policy: &RetryPolicy,
     config: &ParallelConfig,
 ) -> Result<ParallelOutcome> {
-    run_parallel(
-        plan,
-        query,
-        sources,
-        network,
-        Mode::Ft(policy),
-        config,
-        None,
-    )
+    run_parallel(plan, query, sources, network, Some(policy), config, None)
 }
 
 /// Cache-aware [`execute_plan_parallel`]: hits resolve on the main
@@ -186,15 +176,7 @@ pub fn execute_plan_parallel_cached(
     config: &ParallelConfig,
     cache: &mut AnswerCache,
 ) -> Result<ParallelOutcome> {
-    run_parallel(
-        plan,
-        query,
-        sources,
-        network,
-        Mode::Plain,
-        config,
-        Some(cache),
-    )
+    run_parallel(plan, query, sources, network, None, config, Some(cache))
 }
 
 /// Fault-tolerant [`execute_plan_parallel_cached`]: additionally bumps
@@ -213,189 +195,115 @@ pub fn execute_plan_parallel_ft_cached(
     config: &ParallelConfig,
     cache: &mut AnswerCache,
 ) -> Result<ParallelOutcome> {
-    run_parallel(
-        plan,
-        query,
-        sources,
-        network,
-        Mode::Ft(policy),
-        config,
-        Some(cache),
-    )
+    let policy = Some(policy);
+    run_parallel(plan, query, sources, network, policy, config, Some(cache))
 }
 
-#[derive(Clone, Copy)]
-enum Mode<'a> {
-    Plain,
-    Ft(&'a RetryPolicy),
+/// The worker side of a stage-parallel run: how many threads a stage
+/// may use, the optional pacing, and — fault-tolerantly — the retry
+/// policy with each source's fault state behind its own mutex.
+pub(crate) struct Workers<'a> {
+    threads: usize,
+    pace: Option<f64>,
+    policy: Option<&'a RetryPolicy>,
+    fts: Vec<Mutex<SourceFt>>,
 }
 
-/// Executes one remote step against the shared network. Runs on a worker
-/// thread: reads earlier-stage variables immutably, locks only the step's
-/// source (its fault state, and — inside the exchange — its trace shard).
-/// The per-step logic is [`dispatch_remote_step`] — the same code the
-/// sequential executors run, so behavior cannot drift between families.
-#[allow(clippy::too_many_arguments)]
-fn run_remote_step(
-    idx: usize,
-    step: &Step,
-    conditions: &[Condition],
-    sources: &SourceSet,
-    net: &Network,
-    vars: &[Option<ItemSet>],
-    mode: &Mode<'_>,
-    fts: &[Mutex<SourceFt>],
-    spent: Cost,
-    // `Some(schema)` marks a cached run: selection misses fetch full
-    // records (sized as such) so they can be admitted afterwards. Cache
-    // *hits* never reach a worker — the main thread resolves them.
-    records: Option<&Schema>,
-) -> Result<StepDone> {
-    let mut ex = SharedExchanger { net, step: idx };
-    match mode {
-        Mode::Plain => dispatch_remote_step(
-            idx, step, conditions, sources, &mut ex, vars, None, spent, records,
-        ),
-        Mode::Ft(policy) => {
-            let source = step.source().expect("remote worker got a local step");
-            let mut ft = fts[source.0].lock().expect("source fault state poisoned");
-            dispatch_remote_step(
-                idx,
-                step,
-                conditions,
-                sources,
-                &mut ex,
-                vars,
-                Some((policy, &mut ft)),
-                spent,
-                records,
-            )
+impl<'a> Workers<'a> {
+    /// Workers for an `n_sources` plan, all sources alive.
+    pub(crate) fn new(
+        threads: usize,
+        pace: Option<f64>,
+        policy: Option<&'a RetryPolicy>,
+        n_sources: usize,
+    ) -> Workers<'a> {
+        Workers {
+            threads: threads.max(1),
+            pace,
+            policy,
+            fts: (0..n_sources)
+                .map(|_| Mutex::new(SourceFt::default()))
+                .collect(),
         }
     }
 }
 
-fn run_parallel(
-    plan: &Plan,
-    query: &FusionQuery,
-    sources: &SourceSet,
-    network: &mut Network,
-    mode: Mode<'_>,
-    config: &ParallelConfig,
-    mut cache: Option<&mut AnswerCache>,
-) -> Result<ParallelOutcome> {
-    let mut analysis = fusion_core::analyze::analyze_plan(plan)?;
-    if let fusion_core::analyze::Verdict::Refuted(cx) = analysis.verdict() {
-        return Err(FusionError::invalid_plan(format!(
-            "refusing to execute a semantically unsound plan: it does not \
-             compute the fusion query.\n{cx}"
-        )));
-    }
-    plan.validate()?;
-    if query.m() != plan.n_conditions {
-        return Err(FusionError::invalid_plan(format!(
-            "plan expects {} conditions, query has {}",
-            plan.n_conditions,
-            query.m()
-        )));
-    }
-    if sources.len() != plan.n_sources {
-        return Err(FusionError::invalid_plan(format!(
-            "plan expects {} sources, got {}",
-            plan.n_sources,
-            sources.len()
-        )));
-    }
-    // The certificate gate: validates the plan's dataflow and proves (BDD)
-    // that stage-parallel execution is race-free before any thread spawns.
-    // Execution then runs the certified stages refined by per-source
-    // serial queues; `serial_queue_stages` re-verifies the refined
-    // schedule (partition, dependency order, source-disjointness, and
-    // interference-freedom of the certified event graph) in release
-    // builds too — an unsound schedule is an error, never a data race.
-    fusion_core::dataflow::stage_decomposition(plan)?;
-    let stages = fusion_core::dataflow::serial_queue_stages(plan)?;
-
-    let threads = config.threads.max(1);
-    let conditions = query.conditions();
-    // Cache pre-resolution: admissions are deferred until after the run,
-    // so the cache is constant while stages execute, and resolving every
-    // selection in plan order up front performs exactly the lookup
-    // sequence (stats, LRU touches) the sequential cached executor does.
-    let mut served: Vec<Option<Served>> = (0..plan.steps.len()).map(|_| None).collect();
-    let failed_before: Vec<usize> = if cache.is_some() {
-        (0..plan.n_sources)
-            .map(|j| network.failed_count_for(SourceId(j)))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    if let Some(cache) = cache.as_deref_mut() {
-        for (idx, step) in plan.steps.iter().enumerate() {
-            if let Step::Sq { cond, source, .. } = step {
-                served[idx] = cache.lookup(*source, &conditions[cond.0], query.schema())?;
-            }
-        }
-    }
-    let records: Option<&Schema> = cache.is_some().then(|| query.schema());
-    let mut pending: Vec<PendingInsert> = Vec::new();
-    let mut vars: Vec<Option<ItemSet>> = vec![None; plan.var_names.len()];
-    let mut rels: Vec<Option<Relation>> = vec![None; plan.rel_names.len()];
-    let mut rel_dropped = vec![false; plan.rel_names.len()];
-    let mut entries: Vec<Option<LedgerEntry>> = vec![None; plan.steps.len()];
-    let fts: Vec<Mutex<SourceFt>> = (0..plan.n_sources)
-        .map(|_| Mutex::new(SourceFt::default()))
-        .collect();
-    let mut dropped: Vec<usize> = Vec::new();
-    let mut missing_conds: Vec<CondId> = Vec::new();
-    // Ledger cost committed through the last stage barrier — the
-    // deadline basis (see module docs).
-    let mut spent = Cost::ZERO;
-
-    let start = Instant::now();
-    for stage in &stages {
-        // Cache hits resolve here on the main thread: no network, no
-        // worker, no fault exposure — just the free served entry.
+impl ExecState<'_> {
+    /// Executes one stage: selections in `served` bind on the calling
+    /// thread (no network, no worker, no fault exposure), the remaining
+    /// remote steps run on scoped worker threads, their results fold at
+    /// the barrier in step order no matter which worker finished first,
+    /// and the stage's local steps run last, in step order.
+    ///
+    /// A worker reads earlier-stage variables immutably and locks only
+    /// its step's source (its fault state, and — inside the exchange —
+    /// its trace shard); the per-step logic is [`dispatch_remote_step`],
+    /// the same code the sequential executors run. On error, the
+    /// exchanges already performed are committed to the trace first.
+    pub(crate) fn run_stage(
+        &mut self,
+        plan: &Plan,
+        stage: &[usize],
+        network: &mut Network,
+        served: &mut [Option<Served>],
+        workers: &Workers<'_>,
+        records: Option<&Schema>,
+    ) -> Result<()> {
+        // The deadline basis: the cost committed through the last stage
+        // barrier (see the module docs).
+        let spent = if workers.policy.is_some() {
+            self.spent()
+        } else {
+            Cost::ZERO
+        };
         for &idx in stage {
             if let Some(s) = served[idx].take() {
-                if let Step::Sq { out, source, .. } = &plan.steps[idx] {
-                    entries[idx] = Some(served_entry(idx, *source, &s));
-                    vars[out.0] = Some(s.items);
-                }
+                let source = plan.steps[idx].source().expect("served step is remote");
+                self.serve(plan, idx, served_entry(idx, source, &s), s.items);
             }
         }
         let remote: Vec<usize> = stage
             .iter()
             .copied()
-            .filter(|&i| plan.steps[i].source().is_some() && entries[i].is_none())
+            .filter(|&i| plan.steps[i].source().is_some() && self.entries[i].is_none())
             .collect();
         if !remote.is_empty() {
             let cursor = AtomicUsize::new(0);
             let results: Mutex<Vec<(usize, Result<StepDone>)>> =
                 Mutex::new(Vec::with_capacity(remote.len()));
-            let workers = threads.min(remote.len());
             let shared_net: &Network = network;
-            let vars_ref: &[Option<ItemSet>] = &vars;
+            let (conditions, sources) = (self.query.conditions(), self.sources);
+            let vars: &[Option<ItemSet>] = &self.vars;
             std::thread::scope(|scope| {
-                for _ in 0..workers {
+                for _ in 0..workers.threads.min(remote.len()) {
                     scope.spawn(|| loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         if i >= remote.len() {
                             break;
                         }
                         let idx = remote[i];
-                        let r = run_remote_step(
-                            idx,
-                            &plan.steps[idx],
-                            conditions,
-                            sources,
-                            shared_net,
-                            vars_ref,
-                            &mode,
-                            &fts,
-                            spent,
-                            records,
-                        );
-                        if let (Some(pace), Ok(done)) = (config.pace, &r) {
+                        let step = &plan.steps[idx];
+                        let r = {
+                            let source = step.source().expect("remote worker got a local step");
+                            let mut ft = workers.policy.map(|_| {
+                                workers.fts[source.0]
+                                    .lock()
+                                    .expect("source fault state poisoned")
+                            });
+                            let mut ex = SharedExchanger {
+                                net: shared_net,
+                                step: idx,
+                            };
+                            let wire = Wire {
+                                net: &mut ex,
+                                ft: workers.policy.zip(ft.as_deref_mut()),
+                                spent,
+                            };
+                            dispatch_remote_step(
+                                idx, step, conditions, sources, vars, wire, records,
+                            )
+                        };
+                        if let (Some(pace), Ok(done)) = (workers.pace, &r) {
                             let secs = done.entry.total().value() * pace;
                             if secs > 0.0 {
                                 std::thread::sleep(Duration::from_secs_f64(secs));
@@ -406,104 +314,79 @@ fn run_parallel(
                 }
             });
             let mut results = results.into_inner().expect("results poisoned");
-            // The barrier restores determinism: results are folded in
-            // step order no matter which worker finished first.
             results.sort_by_key(|(idx, _)| *idx);
             for (idx, r) in results {
-                let done = match r {
-                    Ok(done) => done,
-                    Err(e) => {
-                        network.commit();
-                        return Err(e);
-                    }
-                };
-                let refetch = done.entry.comm + done.entry.proc;
-                entries[idx] = Some(done.entry);
-                if let Err(e) = apply_step_done(
-                    plan,
-                    query.schema(),
-                    conditions,
-                    idx,
-                    done.value,
-                    refetch,
-                    &mut vars,
-                    &mut rels,
-                    &mut rel_dropped,
-                    &mut pending,
-                    &mut dropped,
-                    &mut missing_conds,
-                    Some(&mut analysis),
-                ) {
+                if let Err(e) = r.and_then(|done| self.apply(plan, idx, done)) {
                     network.commit();
                     return Err(e);
                 }
             }
         }
         for &idx in stage.iter().filter(|&&i| plan.steps[i].source().is_none()) {
-            let step = &plan.steps[idx];
-            if matches!(mode, Mode::Ft(_)) {
-                if let Step::LocalSq { cond, rel, .. } = step {
-                    if rel_dropped[rel.0] {
-                        missing_conds.push(*cond);
-                    }
-                }
-            }
-            match exec_local_step(idx, step, conditions, &mut vars, &rels) {
-                Ok(entry) => entries[idx] = Some(entry),
-                Err(e) => {
-                    network.commit();
-                    return Err(e);
-                }
+            if let Err(e) = self.exec_local(plan, idx) {
+                network.commit();
+                return Err(e);
             }
         }
-        spent = entries.iter().flatten().map(LedgerEntry::total).sum();
+        Ok(())
+    }
+}
+
+fn run_parallel(
+    plan: &Plan,
+    query: &FusionQuery,
+    sources: &SourceSet,
+    network: &mut Network,
+    policy: Option<&RetryPolicy>,
+    config: &ParallelConfig,
+    mut cache: Option<&mut AnswerCache>,
+) -> Result<ParallelOutcome> {
+    let mut state = ExecState::new(plan, query, sources, true)?;
+    // The certificate gate: validates the plan's dataflow and proves (BDD)
+    // that stage-parallel execution is race-free before any thread spawns.
+    // Execution then runs the certified stages refined by per-source
+    // serial queues; `serial_queue_stages` re-verifies the refined
+    // schedule (partition, dependency order, source-disjointness, and
+    // interference-freedom of the certified event graph) in release
+    // builds too — an unsound schedule is an error, never a data race.
+    fusion_core::dataflow::stage_decomposition(plan)?;
+    let stages = fusion_core::dataflow::serial_queue_stages(plan)?;
+    let workers = Workers::new(config.threads, config.pace, policy, plan.n_sources);
+    // Cache pre-resolution: admissions are deferred until after the run,
+    // so the cache is constant while stages execute, and resolving every
+    // selection in plan order up front performs exactly the lookup
+    // sequence (stats, LRU touches) the sequential cached executor does.
+    let mut served: Vec<Option<Served>> = (0..plan.steps.len()).map(|_| None).collect();
+    let failed_before = match cache {
+        Some(_) => failed_counts(network, plan.n_sources),
+        None => Vec::new(),
+    };
+    if let Some(cache) = cache.as_deref_mut() {
+        for (idx, step) in plan.steps.iter().enumerate() {
+            if let Step::Sq { cond, source, .. } = step {
+                let c = &query.conditions()[cond.0];
+                served[idx] = cache.lookup(*source, c, query.schema())?;
+            }
+        }
+    }
+    let records = cache.is_some().then(|| query.schema());
+
+    let start = Instant::now();
+    for stage in &stages {
+        state.run_stage(plan, stage, network, &mut served, &workers, records)?;
     }
     let wall = start.elapsed();
     network.commit();
 
-    let mut ledger = CostLedger::new();
-    for e in entries {
-        ledger.push(e.expect("every stage step executed"));
-    }
-    let answer = vars[plan.result.0]
-        .clone()
-        .expect("validated: result defined");
-    let completeness = if dropped.is_empty() {
-        Completeness::Exact
-    } else {
-        let mut missing_sources: Vec<SourceId> = dropped
-            .iter()
-            .filter_map(|&i| plan.steps[i].source())
-            .collect();
-        missing_sources.sort_unstable();
-        missing_sources.dedup();
-        missing_conds.sort_unstable();
-        missing_conds.dedup();
-        Completeness::Subset {
-            missing_sources,
-            missing_conditions: missing_conds,
-        }
-    };
+    let (outcome, pending) = state.finish(plan);
     if let Some(cache) = cache {
-        let mut failed = vec![false; plan.n_sources];
-        for (j, before) in failed_before.iter().enumerate() {
-            if network.failed_count_for(SourceId(j)) > *before {
-                failed[j] = true;
-                // Fault recovery: entries fetched before or around the
-                // fault window predate it, so the source's epoch advances.
-                cache.bump_epoch(SourceId(j));
-            }
-        }
-        commit_inserts(cache, pending, completeness.is_exact(), &failed);
+        let exact = outcome.completeness.is_exact();
+        commit_run(cache, network, &failed_before, pending, exact);
     }
-    let (_, makespan) = stage_schedule(plan, &ledger)?;
+    let (_, makespan) = stage_schedule(plan, &outcome.ledger)?;
     Ok(ParallelOutcome {
-        outcome: ExecutionOutcome {
-            answer,
-            ledger,
-            completeness,
-        },
-        threads,
+        outcome,
+        threads: workers.threads,
         stages: stages.len(),
         wall,
         makespan,
@@ -520,7 +403,7 @@ mod tests {
     use fusion_net::{FaultPlan, FaultSpec, LinkProfile};
     use fusion_source::{Capabilities, InMemoryWrapper, ProcessingProfile};
     use fusion_types::schema::dmv_schema;
-    use fusion_types::{tuple, CondId, Predicate};
+    use fusion_types::{tuple, CondId, Predicate, Relation, SourceId};
 
     fn figure1_relations() -> Vec<Relation> {
         let s = dmv_schema();

@@ -32,10 +32,11 @@
 //! composite record, stitched from the lexicographically least row of
 //! each contributing source.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::cached::{commit_inserts, PendingInsert};
-use crate::interp::{dropped_entry, Attempted, Exchanger, FtState, SharedExchanger};
+use crate::interp::{dropped_entry, Attempted, Exchanger, FtState, SharedExchanger, Wire};
 use crate::ledger::{CostLedger, LedgerEntry, StepKind};
 use crate::retry::{Completeness, RetryPolicy};
 use fusion_cache::AnswerCache;
@@ -206,15 +207,26 @@ fn rows_by_item(raw: &[Tuple], merge_pos: usize) -> BTreeMap<Item, Vec<Tuple>> {
     rows
 }
 
-/// Runs the batched exchanges of one assignment through an infallible
-/// exchanger.
+/// What an assignment execution yields: the delivered part (absent when
+/// nothing was delivered), its ledger entry, and the covers of every
+/// undelivered item, back for re-planning.
+type Assigned = (Option<Executed>, LedgerEntry, Vec<(Item, Vec<usize>)>);
+
+/// Runs the batched exchanges of one assignment. Fault-tolerantly, when
+/// the source is given up on, the batches already delivered stay
+/// delivered and the covers of every later item come back for
+/// re-planning.
 fn exec_assignment<E: Exchanger>(
     step: usize,
     asg: &FetchAssignment,
     schema: &Schema,
     sources: &SourceSet,
-    net: &mut E,
-) -> Result<(Executed, LedgerEntry)> {
+    mut wire: Wire<'_, E>,
+) -> Result<Assigned> {
+    if wire.dead() {
+        let entry = dropped_entry(step, StepKind::Fetch, asg.source, 0, Cost::ZERO);
+        return Ok((None, entry, asg.covers.clone()));
+    }
     let w = sources.get(asg.source);
     let caps = w.capabilities();
     let layout = record_columns(schema, &asg.attrs);
@@ -222,168 +234,75 @@ fn exec_assignment<E: Exchanger>(
         .iter()
         .position(|&c| c == schema.merge_index())
         .expect("layout contains the merge index");
-    let mut comm = Cost::ZERO;
-    let mut proc = Cost::ZERO;
-    let mut round_trips = 0usize;
+    let batch_len = caps.fetch_batch.max(1);
+    let mut entry = dropped_entry(step, StepKind::Fetch, asg.source, 0, Cost::ZERO);
     let mut raw: Vec<Tuple> = Vec::new();
-    for chunk in asg.items.as_slice().chunks(caps.fetch_batch.max(1)) {
-        let batch: ItemSet = chunk.iter().cloned().collect();
+    let items = asg.items.as_slice();
+    let mut lost_from: Option<usize> = None;
+    for (b, chunk) in items.chunks(batch_len).enumerate() {
+        let batch = ItemSet::from_sorted_unique(chunk.to_vec());
         let (resp, resp_bytes) = fetch_batch(w, &batch, schema, &layout)?;
         let req_bytes = MessageSize::sjq_request(&Predicate::Const(true).into(), &batch);
-        comm += net.exchange(asg.source, ExchangeKind::Fetch, req_bytes, resp_bytes);
-        comm += Cost::new(caps.query_fee());
-        proc += Cost::new(
-            w.processing()
-                .cost(resp.tuples_examined, resp.payload.len()),
-        );
-        round_trips += 1;
-        raw.extend(resp.payload);
-    }
-    let entry = LedgerEntry {
-        step,
-        kind: StepKind::Fetch,
-        source: Some(asg.source),
-        comm,
-        proc,
-        round_trips,
-        items_out: raw.len(),
-        attempts: round_trips,
-        failed_cost: Cost::ZERO,
-    };
-    let executed = Executed {
-        covers: asg.covers.clone(),
-        layout,
-        rows: rows_by_item(&raw, merge_pos),
-        raw,
-        requested: asg.items.clone(),
-        source: asg.source,
-        step,
-        paid: entry.total(),
-    };
-    Ok((executed, entry))
-}
-
-/// What a fault-aware assignment execution yields: the exchange result
-/// (absent when the source died), its ledger entry, and the covers of
-/// every undelivered item, back for re-planning.
-type FtStepResult = (Option<Executed>, LedgerEntry, Vec<(Item, Vec<usize>)>);
-
-/// Fault-aware assignment execution: batches run through the retry
-/// loop; on exhaustion the source is dead and the covers of every
-/// undelivered item come back for re-planning.
-fn exec_assignment_ft(
-    step: usize,
-    asg: &FetchAssignment,
-    schema: &Schema,
-    sources: &SourceSet,
-    net: &mut Network,
-    ft: &mut FtState<'_>,
-    spent: Cost,
-) -> Result<FtStepResult> {
-    let kind = StepKind::Fetch;
-    if ft.dead(asg.source) {
-        return Ok((
-            None,
-            dropped_entry(step, kind, asg.source, 0, Cost::ZERO),
-            asg.covers.clone(),
-        ));
-    }
-    let w = sources.get(asg.source);
-    let caps = w.capabilities();
-    let layout = record_columns(schema, &asg.attrs);
-    let merge_pos = layout
-        .iter()
-        .position(|&c| c == schema.merge_index())
-        .expect("layout contains the merge index");
-    let mut comm = Cost::ZERO;
-    let mut proc = Cost::ZERO;
-    let mut round_trips = 0usize;
-    let mut attempts = 0usize;
-    let mut failed = Cost::ZERO;
-    let mut raw: Vec<Tuple> = Vec::new();
-    let mut delivered = ItemSet::empty();
-    let mut undelivered: Vec<(Item, Vec<usize>)> = Vec::new();
-    let chunks: Vec<ItemSet> = asg
-        .items
-        .as_slice()
-        .chunks(caps.fetch_batch.max(1))
-        .map(|c| c.iter().cloned().collect())
-        .collect();
-    for (b, batch) in chunks.iter().enumerate() {
-        let (resp, resp_bytes) = fetch_batch(w, batch, schema, &layout)?;
-        let req_bytes = MessageSize::sjq_request(&Predicate::Const(true).into(), batch);
-        match ft.try_with_retry(
-            net,
+        let spent = wire.spent + entry.comm + entry.proc + entry.failed_cost;
+        match wire.attempt(
             asg.source,
             ExchangeKind::Fetch,
             req_bytes,
             resp_bytes,
-            spent + comm + proc + failed,
+            spent,
         ) {
             Attempted::Delivered {
-                comm: c,
-                attempts: a,
-                failed: f,
+                comm,
+                attempts,
+                failed,
             } => {
-                comm += c + Cost::new(caps.query_fee());
-                proc += Cost::new(
+                entry.comm += comm;
+                entry.comm += Cost::new(caps.query_fee());
+                entry.proc += Cost::new(
                     w.processing()
                         .cost(resp.tuples_examined, resp.payload.len()),
                 );
-                round_trips += 1;
-                attempts += a;
-                failed += f;
+                entry.round_trips += 1;
+                entry.attempts += attempts;
+                entry.failed_cost += failed;
                 raw.extend(resp.payload);
-                delivered = delivered.union(batch);
             }
-            Attempted::Exhausted {
-                attempts: a,
-                failed: f,
-            } => {
-                attempts += a;
-                failed += f;
-                let lost: ItemSet = chunks[b..]
-                    .iter()
-                    .fold(ItemSet::empty(), |acc, c| acc.union(c));
-                undelivered = asg
-                    .covers
-                    .iter()
-                    .filter(|(i, _)| lost.contains(i))
-                    .cloned()
-                    .collect();
+            Attempted::Exhausted { attempts, failed } => {
+                entry.attempts += attempts;
+                entry.failed_cost += failed;
+                lost_from = Some(b * batch_len);
                 break;
             }
         }
     }
-    let entry = LedgerEntry {
-        step,
-        kind,
-        source: Some(asg.source),
-        comm,
-        proc,
-        round_trips,
-        items_out: raw.len(),
-        attempts,
-        failed_cost: failed,
+    entry.items_out = raw.len();
+    let (covers, requested, undelivered) = match lost_from {
+        None => (asg.covers.clone(), asg.items.clone(), Vec::new()),
+        Some(at) => {
+            let (delivered, lost) = items.split_at(at);
+            let held = |part: &[Item]| -> Vec<(Item, Vec<usize>)> {
+                asg.covers
+                    .iter()
+                    .filter(|(i, _)| part.binary_search(i).is_ok())
+                    .cloned()
+                    .collect()
+            };
+            if delivered.is_empty() {
+                return Ok((None, entry, held(lost)));
+            }
+            let requested = ItemSet::from_sorted_unique(delivered.to_vec());
+            (held(delivered), requested, held(lost))
+        }
     };
-    if delivered.is_empty() {
-        return Ok((None, entry, undelivered));
-    }
-    let paid = entry.total();
     let executed = Executed {
-        covers: asg
-            .covers
-            .iter()
-            .filter(|(i, _)| delivered.contains(i))
-            .cloned()
-            .collect(),
+        covers,
         layout,
         rows: rows_by_item(&raw, merge_pos),
         raw,
-        requested: delivered,
+        requested,
         source: asg.source,
         step,
-        paid,
+        paid: entry.total(),
     };
     Ok((Some(executed), entry, undelivered))
 }
@@ -531,17 +450,15 @@ fn harvest(schema: &Schema, executed: &[Executed]) -> Vec<PendingInsert> {
 }
 
 /// The shared tail of every executor: serve the cached items, assemble
-/// records, commit the harvest, and fold completeness.
-#[allow(clippy::too_many_arguments)]
+/// records, commit the harvest, and fold completeness. `dead[j]` marks
+/// a source given up on (an empty slice: none).
 fn finish(
     plan: &FetchPlan,
     schema: &Schema,
-    n_sources: usize,
     executed: &[Executed],
     mut ledger: CostLedger,
-    next_step: usize,
     extra_missing: &[(Item, Vec<usize>)],
-    dead: &[SourceId],
+    dead: &[bool],
     cache: Option<&mut AnswerCache>,
 ) -> Result<Phase2Outcome> {
     if !plan.cached.is_empty() && cache.is_none() {
@@ -563,7 +480,7 @@ fn finish(
     );
     if !plan.cached.is_empty() {
         ledger.push(LedgerEntry {
-            step: next_step,
+            step: ledger.entries().len(),
             kind: StepKind::FetchCached,
             source: None,
             comm: Cost::ZERO,
@@ -578,23 +495,13 @@ fn finish(
         Completeness::Exact
     } else {
         Completeness::Subset {
-            missing_sources: dead.to_vec(),
+            missing_sources: (0..dead.len()).filter(|&j| dead[j]).map(SourceId).collect(),
             missing_conditions: Vec::new(),
         }
     };
     if let Some(cache) = cache {
-        let mut failed = vec![false; n_sources];
-        for s in dead {
-            if let Some(f) = failed.get_mut(s.0) {
-                *f = true;
-            }
-        }
-        commit_inserts(
-            cache,
-            harvest(schema, executed),
-            completeness.is_exact(),
-            &failed,
-        );
+        let exact = completeness.is_exact();
+        commit_inserts(cache, harvest(schema, executed), exact, dead);
     }
     Ok(Phase2Outcome {
         records,
@@ -617,25 +524,7 @@ pub fn execute_fetch_plan(
     network: &mut Network,
     cache: Option<&mut AnswerCache>,
 ) -> Result<Phase2Outcome> {
-    let mut ledger = CostLedger::new();
-    let mut executed = Vec::with_capacity(plan.assignments.len());
-    for (t, asg) in plan.assignments.iter().enumerate() {
-        let (e, entry) = exec_assignment(t, asg, schema, sources, network)?;
-        ledger.push(entry);
-        executed.push(e);
-    }
-    let next = plan.assignments.len();
-    finish(
-        plan,
-        schema,
-        sources.len(),
-        &executed,
-        ledger,
-        next,
-        &[],
-        &[],
-        cache,
-    )
+    run_fetch_plan(plan, schema, sources, network, None, cache)
 }
 
 /// Executes a fetch plan under a retry policy. When a source is given
@@ -656,31 +545,53 @@ pub fn execute_fetch_plan_ft(
     policy: &RetryPolicy,
     cache: Option<&mut AnswerCache>,
 ) -> Result<Phase2Outcome> {
-    let mut ft = FtState::new(policy, sources.len());
-    let mut live = catalog.clone();
-    let mut queue: VecDeque<FetchAssignment> = plan.assignments.iter().cloned().collect();
+    let ft = Some((policy, catalog, model));
+    run_fetch_plan(plan, schema, sources, network, ft, cache)
+}
+
+/// The sequential phase-two loop. With `ft` (the retry policy, plus the
+/// catalog and cost model that re-planning needs) exchanges run through
+/// the retry loop, and a dead source's undelivered coverage is re-planned
+/// over the survivors and queued behind the plan's own assignments.
+fn run_fetch_plan(
+    plan: &FetchPlan,
+    schema: &Schema,
+    sources: &SourceSet,
+    network: &mut Network,
+    ft: Option<(&RetryPolicy, &CoverageCatalog, &NetworkCostModel)>,
+    cache: Option<&mut AnswerCache>,
+) -> Result<Phase2Outcome> {
+    let mut st = ft.map(|(policy, _, _)| FtState::new(policy, sources.len()));
+    let mut replan = ft.map(|(_, catalog, model)| (catalog.clone(), model));
+    let mut queue: VecDeque<Cow<'_, FetchAssignment>> =
+        plan.assignments.iter().map(Cow::Borrowed).collect();
     let mut ledger = CostLedger::new();
-    let mut executed = Vec::new();
+    let mut executed = Vec::with_capacity(plan.assignments.len());
     let mut extra_missing: Vec<(Item, Vec<usize>)> = Vec::new();
-    let mut dead: BTreeSet<SourceId> = BTreeSet::new();
+    let mut dead: Vec<bool> = Vec::new();
     let mut spent = Cost::ZERO;
-    let mut step = 0usize;
     while let Some(asg) = queue.pop_front() {
-        let (done, entry, undelivered) =
-            exec_assignment_ft(step, &asg, schema, sources, network, &mut ft, spent)?;
+        let wire = Wire {
+            net: &mut *network,
+            ft: st.as_mut().map(|st| st.src(asg.source)),
+            spent,
+        };
+        let step = ledger.entries().len();
+        let (done, entry, undelivered) = exec_assignment(step, &asg, schema, sources, wire)?;
         spent += entry.total();
         ledger.push(entry);
-        step += 1;
-        if let Some(e) = done {
-            executed.push(e);
-        }
+        executed.extend(done);
         if undelivered.is_empty() {
             continue;
         }
         // The source is dead: strike it from the live catalog and
         // re-cover its undelivered pairs from the survivors. Items
         // with identical residual needs re-plan as one group.
-        dead.insert(asg.source);
+        let (live, model) = replan
+            .as_mut()
+            .expect("only fault-tolerant runs leave coverage undelivered");
+        dead.resize(sources.len(), false);
+        dead[asg.source.0] = true;
         live.set(asg.source, BTreeSet::new(), ItemSet::empty());
         let mut groups: BTreeMap<Vec<usize>, Vec<Item>> = BTreeMap::new();
         for (item, attrs) in undelivered {
@@ -688,19 +599,16 @@ pub fn execute_fetch_plan_ft(
         }
         for (attrs, items) in groups {
             let set: ItemSet = items.into_iter().collect();
-            let sub = plan_fetch(&set, &attrs, &live, model, plan.arity, &ItemSet::empty());
+            let sub = plan_fetch(&set, &attrs, live, model, plan.arity, &ItemSet::empty());
             extra_missing.extend(sub.missing);
-            queue.extend(sub.assignments);
+            queue.extend(sub.assignments.into_iter().map(Cow::Owned));
         }
     }
-    let dead: Vec<SourceId> = dead.into_iter().collect();
     finish(
         plan,
         schema,
-        sources.len(),
         &executed,
         ledger,
-        step,
         &extra_missing,
         &dead,
         cache,
@@ -737,7 +645,7 @@ pub fn execute_fetch_plan_parallel(
         }
     }
     let net = &*network;
-    let results: Vec<Result<(Executed, LedgerEntry)>> = std::thread::scope(|scope| {
+    let results: Vec<Result<Assigned>> = std::thread::scope(|scope| {
         let handles: Vec<_> = plan
             .assignments
             .iter()
@@ -745,7 +653,7 @@ pub fn execute_fetch_plan_parallel(
             .map(|(t, asg)| {
                 scope.spawn(move || {
                     let mut ex = SharedExchanger { net, step: t };
-                    exec_assignment(t, asg, schema, sources, &mut ex)
+                    exec_assignment(t, asg, schema, sources, Wire::plain(&mut ex))
                 })
             })
             .collect();
@@ -758,22 +666,11 @@ pub fn execute_fetch_plan_parallel(
     let mut ledger = CostLedger::new();
     let mut executed = Vec::with_capacity(results.len());
     for r in results {
-        let (e, entry) = r?;
+        let (e, entry, _) = r?;
         ledger.push(entry);
-        executed.push(e);
+        executed.push(e.expect("plain exchanges deliver every batch"));
     }
-    let next = plan.assignments.len();
-    finish(
-        plan,
-        schema,
-        sources.len(),
-        &executed,
-        ledger,
-        next,
-        &[],
-        &[],
-        cache,
-    )
+    finish(plan, schema, &executed, ledger, &[], &[], cache)
 }
 
 /// Plan → certify → execute, the surface the CLI, the mediator server,
@@ -1075,6 +972,51 @@ mod tests {
         assert_eq!(par.records, seq.records);
         assert_eq!(par.ledger, seq.ledger);
         assert_eq!(par_net.trace(), seq_net.trace(), "byte-identical traces");
+    }
+
+    #[test]
+    fn fetch_plan_ft_without_faults_matches_plain() {
+        let schema = dmv_schema();
+        let attrs = non_merge_attrs(&schema);
+        for fee in [0u64, 1, 3, 7, 13, 37, 101, 257, 499] {
+            for batch in [1usize, 3, 7, usize::MAX] {
+                let cap = Capabilities::full()
+                    .with_fee_millis(fee)
+                    .with_fetch_batch(batch);
+                let caps = [cap, cap];
+                let (sources, mut plain_net, rels) = world(&caps, &[0..30, 10..40]);
+                let answer = answer_of(&rels);
+                let model = model_of(&sources, &plain_net);
+                let catalog = CoverageCatalog::from_relations(&schema, &rels, &[true, true]);
+                let plan = plan_fetch(
+                    &answer,
+                    &attrs,
+                    &catalog,
+                    &model,
+                    schema.arity(),
+                    &ItemSet::empty(),
+                );
+                let plain =
+                    execute_fetch_plan(&plan, &schema, &sources, &mut plain_net, None).unwrap();
+                let (_, mut ft_net, _) = world(&caps, &[0..30, 10..40]);
+                let ft = execute_fetch_plan_ft(
+                    &plan,
+                    &schema,
+                    &catalog,
+                    &model,
+                    &sources,
+                    &mut ft_net,
+                    &RetryPolicy::default(),
+                    None,
+                )
+                .unwrap();
+                let at = format!("fee {fee} millis, batch {batch}");
+                assert_eq!(ft.records, plain.records, "{at}");
+                assert_eq!(ft.ledger, plain.ledger, "{at}");
+                assert_eq!(ft.completeness, plain.completeness, "{at}");
+                assert_eq!(ft_net.trace(), plain_net.trace(), "{at}");
+            }
+        }
     }
 
     #[test]

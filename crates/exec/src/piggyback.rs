@@ -17,7 +17,7 @@
 //!
 //! [`fetch_first_records`]: crate::piggyback::fetch_first_records
 
-use crate::interp::run_semijoin;
+use crate::interp::{exec_sq, run_semijoin, Wire};
 use crate::ledger::{CostLedger, LedgerEntry, StepKind};
 use fusion_core::plan::{SimplePlanSpec, SourceChoice};
 use fusion_core::query::FusionQuery;
@@ -77,42 +77,20 @@ pub fn execute_piggyback(
         let mut any_selection = false;
         for (j, choice) in spec.choices[r].iter().enumerate() {
             let source = SourceId(j);
-            let items = match choice {
+            let (items, entry) = match choice {
                 SourceChoice::Selection => {
                     any_selection = true;
-                    let w = sources.get(source);
-                    let resp = w.select(cond)?;
-                    let req = MessageSize::sq_request(cond);
-                    let resp_bytes = MessageSize::items_response(&resp.payload);
-                    let comm = network.exchange(source, ExchangeKind::Selection, req, resp_bytes);
-                    let proc = Cost::new(
-                        w.processing()
-                            .cost(resp.tuples_examined, resp.payload.len()),
-                    );
-                    ledger.push(LedgerEntry {
-                        step,
-                        kind: StepKind::Selection,
-                        source: Some(source),
-                        comm,
-                        proc,
-                        round_trips: 1,
-                        items_out: resp.payload.len(),
-                        attempts: 1,
-                        failed_cost: Cost::ZERO,
-                    });
-                    resp.payload
+                    exec_sq(step, source, cond, sources, Wire::plain(network))?
                 }
                 SourceChoice::Semijoin => {
                     let bindings = current
                         .as_ref()
-                        .expect("validated: round 0 has no semijoins")
-                        .clone();
-                    let (items, entry) =
-                        run_semijoin(step, source, cond, &bindings, sources, network)?;
-                    ledger.push(entry);
-                    items
+                        .expect("validated: round 0 has no semijoins");
+                    run_semijoin(step, source, cond, bindings, sources, Wire::plain(network))?
                 }
-            };
+            }
+            .delivered();
+            ledger.push(entry);
             round_union = round_union.union(&items);
             step += 1;
         }

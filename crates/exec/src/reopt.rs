@@ -47,14 +47,11 @@
 //! boundaries are exactly where switch decisions happen, so parallelism
 //! never observes a half-switched plan.
 
-use crate::cached::{commit_inserts, served_entry, PendingInsert};
-use crate::interp::{
-    apply_step_done, dispatch_remote_step, exec_local_step, ExecutionOutcome, SharedExchanger,
-    StepDone,
-};
+use crate::cached::commit_inserts;
+use crate::interp::{ExecState, ExecutionOutcome};
 use crate::ledger::{CostLedger, LedgerEntry, StepKind};
-use crate::retry::Completeness;
-use fusion_cache::AnswerCache;
+use crate::parallel::Workers;
+use fusion_cache::{AnswerCache, Served};
 use fusion_core::cost::FeedbackCostModel;
 use fusion_core::dataflow::{
     analyze_dataflow, certify_switch, Dataflow, Interval, SourceBounds, SwitchCertificate,
@@ -67,9 +64,7 @@ use fusion_net::Network;
 use fusion_source::SourceSet;
 use fusion_stats::{CardObservation, CardinalityFeedback};
 use fusion_types::error::{FusionError, Result};
-use fusion_types::{CondId, Condition, Cost, ItemSet, Relation, SourceId};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use fusion_types::{CondId, Condition, Cost, ItemSet, SourceId};
 
 /// Tuning knobs for adaptive re-optimization.
 #[derive(Debug, Clone, PartialEq)]
@@ -403,7 +398,7 @@ pub fn execute_plan_reopt_parallel<M: CostModel>(
     )
 }
 
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+#[allow(clippy::too_many_arguments)]
 fn run_reopt<M: CostModel>(
     spec: &SimplePlanSpec,
     query: &FusionQuery,
@@ -420,89 +415,60 @@ fn run_reopt<M: CostModel>(
     let m = spec.order.len();
     let mut spec = spec.clone();
     let mut plan = spec.build(n)?;
-    let analysis = fusion_core::analyze::analyze_plan(&plan)?;
-    if let fusion_core::analyze::Verdict::Refuted(cx) = analysis.verdict() {
-        return Err(FusionError::invalid_plan(format!(
-            "refusing to execute a semantically unsound plan: it does not \
-             compute the fusion query.\n{cx}"
-        )));
-    }
-    if threads.is_some() {
-        // The parallel path runs rounds on worker threads; re-verify the
-        // stage certificate up front like the stage-parallel executor.
-        fusion_core::dataflow::stage_decomposition(&plan)?;
-    }
-    let conditions = query.conditions();
+    let mut state = ExecState::new(&plan, query, sources, true)?;
+    // The parallel path runs rounds on worker threads; re-verify the
+    // stage certificate up front like the stage-parallel executor.
+    let workers = match threads {
+        Some(threads) => {
+            fusion_core::dataflow::stage_decomposition(&plan)?;
+            Some(Workers::new(threads, None, None, n))
+        }
+        None => None,
+    };
+    let records = cache.is_some().then(|| query.schema());
     let mut feedback = session.feedback.clone();
     let mut df = derive_df(&plan, model, &feedback, config.slack)?;
     let mut rounds = round_layout(&spec, n);
     debug_assert_eq!(rounds.last().map_or(0, |r| r.1), plan.steps.len());
 
-    let mut vars: Vec<Option<ItemSet>> = vec![None; plan.var_names.len()];
-    let mut rels: Vec<Option<Relation>> = vec![None; plan.rel_names.len()];
-    let mut rel_dropped = vec![false; plan.rel_names.len()];
-    let mut ledger = CostLedger::new();
-    let mut pending: Vec<PendingInsert> = Vec::new();
-    let mut dropped: Vec<usize> = Vec::new();
-    let mut missing_conds: Vec<CondId> = Vec::new();
+    let mut served: Vec<Option<Served>> = Vec::new();
+    let mut markers: Vec<LedgerEntry> = Vec::new();
     let mut switches: Vec<SwitchRecord> = Vec::new();
     let mut violations = 0usize;
-    // (step, items_out) of the current round, for the violation check.
-    let mut round_obs: Vec<(usize, usize)> = Vec::new();
-
     for r in 0..m {
         let (start, end) = rounds[r];
-        round_obs.clear();
-        match threads {
+        match &workers {
             None => {
                 for idx in start..end {
-                    let entry_items = exec_step_sequential(
-                        &plan,
-                        query,
-                        conditions,
-                        idx,
-                        sources,
-                        network,
-                        &mut cache,
-                        &mut vars,
-                        &mut rels,
-                        &mut rel_dropped,
-                        &mut ledger,
-                        &mut pending,
-                        &mut dropped,
-                        &mut missing_conds,
-                    )?;
-                    round_obs.push((idx, entry_items));
-                    let entry = ledger.entries().last().expect("just pushed");
-                    record_observation(&mut feedback, &plan, &vars, entry);
+                    state.step_sequential(&plan, idx, network, None, cache.as_deref_mut())?;
                 }
             }
-            Some(threads) => {
-                exec_round_parallel(
-                    &plan,
-                    query,
-                    conditions,
-                    (start, end),
-                    sources,
-                    network,
-                    &mut cache,
-                    &mut vars,
-                    &mut rels,
-                    &mut rel_dropped,
-                    &mut ledger,
-                    &mut pending,
-                    &mut dropped,
-                    &mut missing_conds,
-                    &mut round_obs,
-                    threads,
-                )?;
-                for (idx, _) in &round_obs {
-                    let pos = ledger.entries().len() - (end - start) + (idx - start);
-                    let entry = &ledger.entries()[pos];
-                    record_observation(&mut feedback, &plan, &vars, entry);
+            Some(workers) => {
+                // Cache lookups resolve on the main thread in step order —
+                // exactly the lookup sequence (stats, LRU touches) the
+                // sequential path performs.
+                served.clear();
+                served.resize_with(plan.steps.len(), || None);
+                if let Some(cache) = cache.as_deref_mut() {
+                    for (idx, step) in plan.steps.iter().enumerate().take(end).skip(start) {
+                        if let Step::Sq { cond, source, .. } = step {
+                            let c = &query.conditions()[cond.0];
+                            served[idx] = cache.lookup(*source, c, query.schema())?;
+                        }
+                    }
                 }
+                let round: Vec<usize> = (start..end).collect();
+                state.run_stage(&plan, &round, network, &mut served, workers, records)?;
             }
         }
+        // (step, items_out) of the round, for the violation check.
+        let round_obs: Vec<(usize, usize)> = (start..end)
+            .map(|idx| {
+                let entry = state.entries[idx].as_ref().expect("round executed");
+                record_observation(&mut feedback, &plan, &state.vars, entry);
+                (idx, entry.items_out)
+            })
+            .collect();
         // Round boundary: did any observation escape its believed
         // interval? (Checking every step of the round — not just the
         // round result — catches per-cell misestimates the intersect
@@ -521,7 +487,7 @@ fn run_reopt<M: CostModel>(
         let x_var = plan.steps[executed - 1]
             .defined_var()
             .expect("a round ends in a set operation");
-        let x0 = vars[x_var.0].as_ref().map_or(0, ItemSet::len) as f64;
+        let x0 = state.vars[x_var.0].as_ref().map_or(0, ItemSet::len) as f64;
         let remaining: Vec<usize> = spec.order[r + 1..].iter().map(|c| c.0).collect();
         let (old_suffix_cost, cand) = {
             let fbm = FeedbackCostModel::new(model, &feedback);
@@ -543,7 +509,7 @@ fn run_reopt<M: CostModel>(
             // Certification refused the splice: keep the plan we have.
             continue;
         };
-        ledger.push(reopt_marker(executed, observed));
+        markers.push(reopt_marker(executed, observed));
         switches.push(SwitchRecord {
             at_step: executed,
             rounds_done: r + 1,
@@ -559,231 +525,47 @@ fn run_reopt<M: CostModel>(
         });
         plan = new_plan;
         spec = new_spec;
-        vars.resize(plan.var_names.len(), None);
-        rels.resize(plan.rel_names.len(), None);
-        rel_dropped.resize(plan.rel_names.len(), false);
+        state.resize(&plan);
         rounds = round_layout(&spec, n);
         debug_assert_eq!(rounds.last().map_or(0, |r| r.1), plan.steps.len());
         df = derive_df(&plan, model, &feedback, config.slack)?;
     }
-    if threads.is_some() {
+    if workers.is_some() {
         network.commit();
     }
-    let answer = vars[plan.result.0]
-        .clone()
-        .expect("validated: result defined");
-    if let Some(cache) = cache {
-        commit_inserts(cache, pending, true, &[]);
-    }
+    let outcome = finish_reopt(state, &plan, markers, cache);
     session.feedback = feedback;
     Ok(ReoptOutcome {
-        outcome: ExecutionOutcome {
-            answer,
-            ledger,
-            completeness: Completeness::Exact,
-        },
+        outcome,
         final_spec: spec,
         switches,
         violations,
     })
 }
 
-/// Executes one step exactly as [`crate::interp`]'s sequential loop
-/// does (cache lookup, dispatch, fold) and returns its `items_out`.
-#[allow(clippy::too_many_arguments)]
-fn exec_step_sequential(
+/// Ends a reopt run: the outcome with each switch marker spliced into
+/// the ledger just before the step it names, and the run's fresh answers
+/// admitted to `cache`.
+fn finish_reopt(
+    state: ExecState<'_>,
     plan: &Plan,
-    query: &FusionQuery,
-    conditions: &[Condition],
-    idx: usize,
-    sources: &SourceSet,
-    network: &mut Network,
-    cache: &mut Option<&mut AnswerCache>,
-    vars: &mut [Option<ItemSet>],
-    rels: &mut [Option<Relation>],
-    rel_dropped: &mut [bool],
-    ledger: &mut CostLedger,
-    pending: &mut Vec<PendingInsert>,
-    dropped: &mut Vec<usize>,
-    missing_conds: &mut Vec<CondId>,
-) -> Result<usize> {
-    let step = &plan.steps[idx];
-    if step.source().is_none() {
-        let entry = exec_local_step(idx, step, conditions, vars, rels)?;
-        let items = entry.items_out;
-        ledger.push(entry);
-        return Ok(items);
+    markers: Vec<LedgerEntry>,
+    cache: Option<&mut AnswerCache>,
+) -> ExecutionOutcome {
+    let (mut outcome, pending) = state.finish(plan);
+    if let Some(cache) = cache {
+        commit_inserts(cache, pending, true, &[]);
     }
-    if let Step::Sq { out, cond, source } = step {
-        let served = match cache.as_deref_mut() {
-            Some(cache) => cache.lookup(*source, &conditions[cond.0], query.schema())?,
-            None => None,
-        };
-        if let Some(served) = served {
-            let entry = served_entry(idx, *source, &served);
-            let items = entry.items_out;
-            ledger.push(entry);
-            vars[out.0] = Some(served.items);
-            return Ok(items);
+    let mut ledger = CostLedger::new();
+    let mut markers = markers.into_iter().peekable();
+    for entry in outcome.ledger.entries() {
+        while let Some(marker) = markers.next_if(|m| m.step <= entry.step) {
+            ledger.push(marker);
         }
+        ledger.push(entry.clone());
     }
-    let records = cache.is_some().then(|| query.schema());
-    let done = dispatch_remote_step(
-        idx,
-        step,
-        conditions,
-        sources,
-        network,
-        vars,
-        None,
-        Cost::ZERO,
-        records,
-    )?;
-    let refetch = done.entry.comm + done.entry.proc;
-    let items = done.entry.items_out;
-    ledger.push(done.entry);
-    apply_step_done(
-        plan,
-        query.schema(),
-        conditions,
-        idx,
-        done.value,
-        refetch,
-        vars,
-        rels,
-        rel_dropped,
-        pending,
-        dropped,
-        missing_conds,
-        None,
-    )?;
-    Ok(items)
-}
-
-/// Executes one round's steps with the remote ones on worker threads,
-/// folding results at the round barrier in step order so the ledger,
-/// variables, and trace come out byte-identical to the sequential path.
-#[allow(clippy::too_many_arguments)]
-fn exec_round_parallel(
-    plan: &Plan,
-    query: &FusionQuery,
-    conditions: &[Condition],
-    (start, end): (usize, usize),
-    sources: &SourceSet,
-    network: &mut Network,
-    cache: &mut Option<&mut AnswerCache>,
-    vars: &mut [Option<ItemSet>],
-    rels: &mut [Option<Relation>],
-    rel_dropped: &mut [bool],
-    ledger: &mut CostLedger,
-    pending: &mut Vec<PendingInsert>,
-    dropped: &mut Vec<usize>,
-    missing_conds: &mut Vec<CondId>,
-    round_obs: &mut Vec<(usize, usize)>,
-    threads: usize,
-) -> Result<usize> {
-    let mut entries: Vec<Option<LedgerEntry>> = vec![None; end - start];
-    // Cache lookups resolve on the main thread in step order — exactly
-    // the lookup sequence (stats, LRU touches) the sequential path
-    // performs.
-    if let Some(cache) = cache.as_deref_mut() {
-        for idx in start..end {
-            if let Step::Sq { out, cond, source } = &plan.steps[idx] {
-                if let Some(served) = cache.lookup(*source, &conditions[cond.0], query.schema())? {
-                    entries[idx - start] = Some(served_entry(idx, *source, &served));
-                    vars[out.0] = Some(served.items);
-                }
-            }
-        }
-    }
-    let records = cache.is_some().then(|| query.schema());
-    let remote: Vec<usize> = (start..end)
-        .filter(|&i| plan.steps[i].source().is_some() && entries[i - start].is_none())
-        .collect();
-    if !remote.is_empty() {
-        let cursor = AtomicUsize::new(0);
-        let results: Mutex<Vec<(usize, Result<StepDone>)>> =
-            Mutex::new(Vec::with_capacity(remote.len()));
-        let workers = threads.min(remote.len());
-        let shared_net: &Network = network;
-        let vars_ref: &[Option<ItemSet>] = vars;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= remote.len() {
-                        break;
-                    }
-                    let idx = remote[i];
-                    let mut ex = SharedExchanger {
-                        net: shared_net,
-                        step: idx,
-                    };
-                    let r = dispatch_remote_step(
-                        idx,
-                        &plan.steps[idx],
-                        conditions,
-                        sources,
-                        &mut ex,
-                        vars_ref,
-                        None,
-                        Cost::ZERO,
-                        records,
-                    );
-                    results.lock().expect("results poisoned").push((idx, r));
-                });
-            }
-        });
-        let mut results = results.into_inner().expect("results poisoned");
-        results.sort_by_key(|(idx, _)| *idx);
-        for (idx, r) in results {
-            let done = match r {
-                Ok(done) => done,
-                Err(e) => {
-                    network.commit();
-                    return Err(e);
-                }
-            };
-            let refetch = done.entry.comm + done.entry.proc;
-            entries[idx - start] = Some(done.entry);
-            if let Err(e) = apply_step_done(
-                plan,
-                query.schema(),
-                conditions,
-                idx,
-                done.value,
-                refetch,
-                vars,
-                rels,
-                rel_dropped,
-                pending,
-                dropped,
-                missing_conds,
-                None,
-            ) {
-                network.commit();
-                return Err(e);
-            }
-        }
-    }
-    // Local set operations run after the barrier, in step order.
-    for idx in start..end {
-        if plan.steps[idx].source().is_none() {
-            match exec_local_step(idx, &plan.steps[idx], conditions, vars, rels) {
-                Ok(entry) => entries[idx - start] = Some(entry),
-                Err(e) => {
-                    network.commit();
-                    return Err(e);
-                }
-            }
-        }
-    }
-    for (off, e) in entries.into_iter().enumerate() {
-        let e = e.expect("every round step executed");
-        round_obs.push((start + off, e.items_out));
-        ledger.push(e);
-    }
-    Ok(end - start)
+    outcome.ledger = ledger;
+    outcome
 }
 
 /// Replays an adaptively re-optimized run from its recorded switches:
@@ -816,99 +598,57 @@ pub fn replay_plan_reopt(
     }
     let mut spec = spec.clone();
     let mut plan = spec.build(n)?;
-    let analysis = fusion_core::analyze::analyze_plan(&plan)?;
-    if let fusion_core::analyze::Verdict::Refuted(cx) = analysis.verdict() {
-        return Err(FusionError::invalid_plan(format!(
-            "refusing to replay a semantically unsound plan: it does not \
-             compute the fusion query.\n{cx}"
-        )));
-    }
-    let conditions = query.conditions();
-    let mut vars: Vec<Option<ItemSet>> = vec![None; plan.var_names.len()];
-    let mut rels: Vec<Option<Relation>> = vec![None; plan.rel_names.len()];
-    let mut rel_dropped = vec![false; plan.rel_names.len()];
-    let mut ledger = CostLedger::new();
-    let mut pending: Vec<PendingInsert> = Vec::new();
-    let mut dropped: Vec<usize> = Vec::new();
-    let mut missing_conds: Vec<CondId> = Vec::new();
+    let mut state = ExecState::new(&plan, query, sources, true)?;
+    let mut markers: Vec<LedgerEntry> = Vec::new();
     let mut next_switch = switches.iter().peekable();
     let mut replayed: Vec<SwitchRecord> = Vec::new();
     let mut idx = 0usize;
     while idx < plan.steps.len() {
-        if let Some(sw) = next_switch.peek() {
-            if sw.at_step == idx {
-                let sw = next_switch.next().expect("just peeked");
-                if sw.rounds_done == 0 || sw.rounds_done > spec.order.len() {
-                    return Err(FusionError::invalid_plan(format!(
-                        "switch record splices after {} of {} rounds",
-                        sw.rounds_done,
-                        spec.order.len()
-                    )));
-                }
-                if sw.suffix_order.len() != spec.order.len() - sw.rounds_done {
-                    return Err(FusionError::invalid_plan(format!(
-                        "switch record's suffix covers {} rounds, {} remain",
-                        sw.suffix_order.len(),
-                        spec.order.len() - sw.rounds_done
-                    )));
-                }
-                let mut new_spec = SimplePlanSpec {
-                    order: spec.order[..sw.rounds_done].to_vec(),
-                    choices: spec.choices[..sw.rounds_done].to_vec(),
-                };
-                new_spec.order.extend(sw.suffix_order.iter().copied());
-                new_spec.choices.extend(sw.suffix_choices.iter().cloned());
-                let new_plan = new_spec.build(n)?;
-                let certificate = certify_switch(&plan, &new_plan, idx)?;
-                ledger.push(reopt_marker(idx, sw.observed));
-                replayed.push(SwitchRecord {
-                    certificate,
-                    ..sw.clone()
-                });
-                plan = new_plan;
-                spec = new_spec;
-                vars.resize(plan.var_names.len(), None);
-                rels.resize(plan.rel_names.len(), None);
-                rel_dropped.resize(plan.rel_names.len(), false);
-                continue;
-            }
+        let Some(sw) = next_switch.next_if(|sw| sw.at_step == idx) else {
+            state.step_sequential(&plan, idx, network, None, cache.as_deref_mut())?;
+            idx += 1;
+            continue;
+        };
+        if sw.rounds_done == 0 || sw.rounds_done > spec.order.len() {
+            return Err(FusionError::invalid_plan(format!(
+                "switch record splices after {} of {} rounds",
+                sw.rounds_done,
+                spec.order.len()
+            )));
         }
-        exec_step_sequential(
-            &plan,
-            query,
-            conditions,
-            idx,
-            sources,
-            network,
-            &mut cache,
-            &mut vars,
-            &mut rels,
-            &mut rel_dropped,
-            &mut ledger,
-            &mut pending,
-            &mut dropped,
-            &mut missing_conds,
-        )?;
-        idx += 1;
+        if sw.suffix_order.len() != spec.order.len() - sw.rounds_done {
+            return Err(FusionError::invalid_plan(format!(
+                "switch record's suffix covers {} rounds, {} remain",
+                sw.suffix_order.len(),
+                spec.order.len() - sw.rounds_done
+            )));
+        }
+        let mut new_spec = SimplePlanSpec {
+            order: spec.order[..sw.rounds_done].to_vec(),
+            choices: spec.choices[..sw.rounds_done].to_vec(),
+        };
+        new_spec.order.extend(sw.suffix_order.iter().copied());
+        new_spec.choices.extend(sw.suffix_choices.iter().cloned());
+        let new_plan = new_spec.build(n)?;
+        let certificate = certify_switch(&plan, &new_plan, idx)?;
+        markers.push(reopt_marker(idx, sw.observed));
+        replayed.push(SwitchRecord {
+            certificate,
+            ..sw.clone()
+        });
+        plan = new_plan;
+        spec = new_spec;
+        state.resize(&plan);
     }
     if next_switch.peek().is_some() {
         return Err(FusionError::invalid_plan(
             "switch record points past the end of the plan",
         ));
     }
-    let answer = vars[plan.result.0]
-        .clone()
-        .expect("validated: result defined");
-    if let Some(cache) = cache {
-        commit_inserts(cache, pending, true, &[]);
-    }
+    let outcome = finish_reopt(state, &plan, markers, cache);
     let violations = replayed.len();
     Ok(ReoptOutcome {
-        outcome: ExecutionOutcome {
-            answer,
-            ledger,
-            completeness: Completeness::Exact,
-        },
+        outcome,
         final_spec: spec,
         switches: replayed,
         violations,
@@ -924,7 +664,7 @@ mod tests {
     use fusion_net::LinkProfile;
     use fusion_source::{Capabilities, InMemoryWrapper, ProcessingProfile};
     use fusion_types::schema::dmv_schema;
-    use fusion_types::{tuple, Predicate};
+    use fusion_types::{tuple, Predicate, Relation};
 
     fn figure1_relations() -> Vec<Relation> {
         let s = dmv_schema();

@@ -11,7 +11,7 @@
 //! happens-before claims into an executable proof obligation.
 //!
 //! The per-event actions are the *same code* the production executors
-//! run: [`dispatch_remote_step`] / [`apply_step_done`] for executions,
+//! run: [`dispatch_remote_step`] / [`ExecState::apply`] for executions,
 //! [`fusion_cache::AnswerCache::lookup`] for lookups,
 //! [`fusion_cache::AnswerCache::bump_epoch`] guarded by the committed
 //! failure count for bumps, and the pending-admission insert for
@@ -35,13 +35,11 @@
 //!   the `cache-commit-race` lint describes, so the checker can replay a
 //!   static witness into a real divergence.
 
-use crate::cached::{commit_inserts, served_entry, PendingInsert};
+use crate::cached::{commit_inserts, failed_counts, served_entry};
 use crate::interp::{
-    apply_step_done, dispatch_remote_step, exec_local_step, ExecutionOutcome, SharedExchanger,
-    SourceFt,
+    dispatch_remote_step, ExecState, ExecutionOutcome, FtState, SharedExchanger, Wire,
 };
-use crate::ledger::{CostLedger, LedgerEntry};
-use crate::retry::{Completeness, RetryPolicy};
+use crate::retry::RetryPolicy;
 use fusion_cache::{AnswerCache, Served};
 use fusion_core::dataflow::Event;
 use fusion_core::plan::{Plan, Step};
@@ -49,7 +47,7 @@ use fusion_core::query::FusionQuery;
 use fusion_net::Network;
 use fusion_source::SourceSet;
 use fusion_types::error::{FusionError, Result};
-use fusion_types::{CondId, SourceId};
+use fusion_types::SourceId;
 
 /// Knobs for replay runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,7 +86,7 @@ fn replay_err(msg: impl std::fmt::Display) -> FusionError {
 /// replay (a step executed twice or never, an execution before its
 /// inputs, a cache event without a cache), and on the same execution
 /// errors the production executors report.
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments)]
 pub fn execute_plan_replay(
     plan: &Plan,
     query: &FusionQuery,
@@ -99,42 +97,11 @@ pub fn execute_plan_replay(
     order: &[Event],
     options: &ReplayOptions,
 ) -> Result<ExecutionOutcome> {
-    let mut analysis = fusion_core::analyze::analyze_plan(plan)?;
-    if let fusion_core::analyze::Verdict::Refuted(cx) = analysis.verdict() {
-        return Err(FusionError::invalid_plan(format!(
-            "refusing to execute a semantically unsound plan: it does not \
-             compute the fusion query.\n{cx}"
-        )));
-    }
-    plan.validate()?;
-    if query.m() != plan.n_conditions {
-        return Err(FusionError::invalid_plan(format!(
-            "plan expects {} conditions, query has {}",
-            plan.n_conditions,
-            query.m()
-        )));
-    }
-    if sources.len() != plan.n_sources {
-        return Err(FusionError::invalid_plan(format!(
-            "plan expects {} sources, got {}",
-            plan.n_sources,
-            sources.len()
-        )));
-    }
+    let mut state = ExecState::new(plan, query, sources, true)?;
     let conditions = query.conditions();
-    let n = plan.steps.len();
-    let mut vars: Vec<Option<fusion_types::ItemSet>> = vec![None; plan.var_names.len()];
-    let mut rels: Vec<Option<fusion_types::Relation>> = vec![None; plan.rel_names.len()];
-    let mut rel_dropped = vec![false; plan.rel_names.len()];
-    let mut entries: Vec<Option<LedgerEntry>> = vec![None; n];
-    let mut served: Vec<Option<Served>> = (0..n).map(|_| None).collect();
-    let mut pending: Vec<PendingInsert> = Vec::new();
-    let mut fts: Vec<SourceFt> = (0..plan.n_sources).map(|_| SourceFt::default()).collect();
-    let mut dropped: Vec<usize> = Vec::new();
-    let mut missing_conds: Vec<CondId> = Vec::new();
-    let failed_before: Vec<usize> = (0..plan.n_sources)
-        .map(|j| network.failed_count_for(SourceId(j)))
-        .collect();
+    let mut served: Vec<Option<Served>> = (0..plan.steps.len()).map(|_| None).collect();
+    let mut ft = policy.map(|p| FtState::new(p, plan.n_sources));
+    let failed_before = failed_counts(network, plan.n_sources);
     let mut failed = vec![false; plan.n_sources];
 
     let step_at = |idx: usize| -> Result<&Step> {
@@ -162,11 +129,11 @@ pub fn execute_plan_replay(
             }
             Event::Exec { step: idx } => {
                 let step = step_at(idx)?;
-                if entries[idx].is_some() {
+                if state.entries[idx].is_some() {
                     return Err(replay_err(format!("step#{} executed twice", idx + 1)));
                 }
                 for v in step.used_vars() {
-                    if vars[v.0].is_none() {
+                    if state.vars[v.0].is_none() {
                         return Err(replay_err(format!(
                             "step#{} executed before its input {} was bound",
                             idx + 1,
@@ -174,59 +141,45 @@ pub fn execute_plan_replay(
                         )));
                     }
                 }
-                if step.source().is_none() {
-                    if let Step::LocalSq { cond, rel, .. } = step {
-                        if rels[rel.0].is_none() {
+                let Some(source) = step.source() else {
+                    if let Step::LocalSq { rel, .. } = step {
+                        if state.rels[rel.0].is_none() {
                             return Err(replay_err(format!(
                                 "step#{} executed before its load {} was bound",
                                 idx + 1,
                                 plan.rel_names[rel.0]
                             )));
                         }
-                        if policy.is_some() && rel_dropped[rel.0] {
-                            missing_conds.push(*cond);
-                        }
                     }
-                    entries[idx] = Some(exec_local_step(idx, step, conditions, &mut vars, &rels)?);
+                    state.exec_local(plan, idx)?;
+                    continue;
+                };
+                if let Some(s) = served[idx].take() {
+                    state.serve(plan, idx, served_entry(idx, source, &s), s.items);
                     continue;
                 }
-                if let (Some(s), Step::Sq { out, source, .. }) = (served[idx].take(), step) {
-                    entries[idx] = Some(served_entry(idx, *source, &s));
-                    vars[out.0] = Some(s.items);
-                    continue;
-                }
-                // The deadline basis under reordering: the cost of the
-                // executions completed so far in *replay* order.
-                let spent = entries.iter().flatten().map(LedgerEntry::total).sum();
                 let records = cache.is_some().then(|| query.schema());
                 let mut ex = SharedExchanger {
                     net: &*network,
                     step: idx,
                 };
-                let ft = policy.map(|p| {
-                    let source = step.source().expect("remote step has a source");
-                    (p, &mut fts[source.0])
-                });
+                let wire = Wire {
+                    net: &mut ex,
+                    // The deadline basis under reordering: the cost of the
+                    // executions completed so far in *replay* order.
+                    spent: state.spent(),
+                    ft: ft.as_mut().map(|st| st.src(source)),
+                };
                 let done = dispatch_remote_step(
-                    idx, step, conditions, sources, &mut ex, &vars, ft, spent, records,
-                )?;
-                let refetch = done.entry.comm + done.entry.proc;
-                entries[idx] = Some(done.entry);
-                apply_step_done(
-                    plan,
-                    query.schema(),
-                    conditions,
                     idx,
-                    done.value,
-                    refetch,
-                    &mut vars,
-                    &mut rels,
-                    &mut rel_dropped,
-                    &mut pending,
-                    &mut dropped,
-                    &mut missing_conds,
-                    policy.is_some().then_some(&mut analysis),
+                    step,
+                    conditions,
+                    sources,
+                    &state.vars,
+                    wire,
+                    records,
                 )?;
+                state.apply(plan, idx, done)?;
             }
             Event::EpochBump { source } => {
                 if source >= plan.n_sources {
@@ -266,55 +219,25 @@ pub fn execute_plan_replay(
                 };
                 // Cache hits and guarded failures leave nothing pending;
                 // their commit events are no-ops, as in production.
-                let Some(pos) = pending.iter().position(|p| p.step == step) else {
+                let Some(pos) = state.pending.iter().position(|p| p.step == step) else {
                     continue;
                 };
-                let p = pending.remove(pos);
+                let p = state.pending.remove(pos);
                 let keep = !(options.guard_commits && failed[p.source.0]);
                 commit_inserts(
                     cache,
                     vec![p],
-                    dropped.is_empty(),
+                    state.is_exact(),
                     if keep { &[] } else { &failed },
                 );
             }
         }
     }
     network.commit();
-
-    let mut ledger = CostLedger::new();
-    for (idx, e) in entries.into_iter().enumerate() {
-        match e {
-            Some(e) => ledger.push(e),
-            None => {
-                return Err(replay_err(format!("step#{} never executed", idx + 1)));
-            }
-        }
+    if let Some(idx) = state.entries.iter().position(Option::is_none) {
+        return Err(replay_err(format!("step#{} never executed", idx + 1)));
     }
-    let answer = vars[plan.result.0]
-        .clone()
-        .expect("validated: result defined");
-    let completeness = if dropped.is_empty() {
-        Completeness::Exact
-    } else {
-        let mut missing_sources: Vec<SourceId> = dropped
-            .iter()
-            .filter_map(|&i| plan.steps[i].source())
-            .collect();
-        missing_sources.sort_unstable();
-        missing_sources.dedup();
-        missing_conds.sort_unstable();
-        missing_conds.dedup();
-        Completeness::Subset {
-            missing_sources,
-            missing_conditions: missing_conds,
-        }
-    };
-    Ok(ExecutionOutcome {
-        answer,
-        ledger,
-        completeness,
-    })
+    Ok(state.finish(plan).0)
 }
 
 #[cfg(test)]

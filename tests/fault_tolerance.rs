@@ -5,11 +5,18 @@
 //! The seed battery size scales with `FAULT_BATTERY_SEEDS` (default 40)
 //! so CI can run a heavier sweep than the local default.
 
+use fusion::cache::AnswerCache;
+use fusion::core::plan::{Plan, SimplePlanSpec, SourceChoice, Step};
 use fusion::core::postopt::sja_plus;
 use fusion::core::{filter_plan, sja_optimal};
-use fusion::exec::{execute_adaptive_ft, execute_plan, execute_plan_ft, Completeness, RetryPolicy};
-use fusion::net::{FaultPlan, FaultSpec};
-use fusion::types::{ItemSet, SourceId};
+use fusion::exec::{
+    execute_adaptive_ft, execute_plan, execute_plan_cached, execute_plan_ft,
+    execute_plan_ft_cached, execute_plan_parallel, execute_plan_parallel_ft, Completeness,
+    ParallelConfig, RetryPolicy,
+};
+use fusion::net::{FaultPlan, FaultSpec, LinkProfile, Network};
+use fusion::source::{Capabilities, InMemoryWrapper, ProcessingProfile, SourceSet, Wrapper};
+use fusion::types::{CondId, ItemSet, SourceId};
 use fusion::workload::synth::{synth_scenario, SynthSpec};
 use fusion::workload::{dmv, Scenario};
 
@@ -271,14 +278,135 @@ fn total_outage_returns_the_empty_subset() {
 
 // ---------- faults-off parity ----------------------------------------------
 
+/// Figure 1's relations behind wrappers that emulate semijoins with
+/// passed-binding probes of `batch` bindings each (§2.3).
+fn emulated_dmv(batch: usize) -> Scenario {
+    let relations = dmv::figure1_relations();
+    let sources = SourceSet::new(
+        relations
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                Box::new(InMemoryWrapper::new(
+                    format!("DMV-{}", i + 1),
+                    r.clone(),
+                    Capabilities::emulated(batch),
+                    ProcessingProfile::indexed_db(),
+                    i as u64,
+                )) as Box<dyn Wrapper>
+            })
+            .collect(),
+    );
+    let network = Network::uniform(relations.len(), LinkProfile::Wan.link());
+    Scenario::new(
+        format!("dmv-emulated-{batch}"),
+        dmv::figure1_query(),
+        relations,
+        sources,
+        network,
+    )
+}
+
+/// Selections in the first round, semijoins at every source after it.
+fn semijoin_plan(m: usize, n: usize) -> Plan {
+    let mut choices = vec![vec![SourceChoice::Semijoin; n]; m];
+    choices[0] = vec![SourceChoice::Selection; n];
+    SimplePlanSpec {
+        order: (0..m).map(CondId).collect(),
+        choices,
+    }
+    .build(n)
+    .unwrap()
+}
+
+/// Rewrites every semijoin to a Bloom-filter semijoin re-intersected
+/// with its bindings at the mediator.
+fn bloom_plan(plan: &Plan) -> Plan {
+    let mut out = plan.clone();
+    out.steps.clear();
+    for step in &plan.steps {
+        if let Step::Sjq {
+            out: x,
+            cond,
+            source,
+            input,
+        } = step
+        {
+            let raw = out.fresh_var(format!("B{}{}", cond.0 + 1, source.0 + 1));
+            out.steps.push(Step::SjqBloom {
+                out: raw,
+                cond: *cond,
+                source: *source,
+                input: *input,
+                bits: 10,
+            });
+            out.steps.push(Step::Intersect {
+                out: *x,
+                inputs: vec![raw, *input],
+            });
+        } else {
+            out.steps.push(step.clone());
+        }
+    }
+    out
+}
+
+/// Loads `R1` once (`lq`) and answers its selections locally.
+fn loaded_plan(plan: &Plan) -> Plan {
+    let mut out = plan.clone();
+    out.steps.clear();
+    let rel = out.fresh_rel("T1");
+    out.steps.push(Step::Lq {
+        out: rel,
+        source: SourceId(0),
+    });
+    for step in &plan.steps {
+        match step {
+            Step::Sq {
+                out: x,
+                cond,
+                source,
+            } if *source == SourceId(0) => {
+                out.steps.push(Step::LocalSq {
+                    out: *x,
+                    cond: *cond,
+                    rel,
+                });
+            }
+            other => out.steps.push(other.clone()),
+        }
+    }
+    out
+}
+
 /// With no fault plan (or an all-`none` one), the fault-tolerant executor
 /// is byte-identical to the plain one: same answer, same ledger entry by
-/// entry, `Exact` completeness, zero failed cost.
+/// entry, `Exact` completeness, zero failed cost. The inputs reach every
+/// remote step kind (native, emulated and Bloom semijoins, loads with
+/// local selections), and the cached and parallel pairs are held to the
+/// same parity.
 #[test]
 fn faults_off_is_byte_identical_to_plain_execution() {
-    for scenario in scenarios() {
+    let mut all = scenarios();
+    all.push(emulated_dmv(1));
+    all.push(emulated_dmv(2));
+    for scenario in all {
         let model = scenario.cost_model();
-        for plan in [filter_plan(&model).plan, sja_plus(&model).plan] {
+        let filter = filter_plan(&model).plan;
+        let semijoin = semijoin_plan(scenario.m(), scenario.n());
+        let mut plans = vec![filter.clone(), sja_plus(&model).plan, loaded_plan(&filter)];
+        let bloom = (0..scenario.n()).all(|j| {
+            scenario
+                .sources
+                .get(SourceId(j))
+                .capabilities()
+                .bloom_semijoin
+        });
+        if bloom {
+            plans.push(bloom_plan(&semijoin));
+        }
+        plans.push(semijoin);
+        for plan in plans {
             let mut plain_net = scenario.network();
             let plain =
                 execute_plan(&plan, &scenario.query, &scenario.sources, &mut plain_net).unwrap();
@@ -301,8 +429,75 @@ fn faults_off_is_byte_identical_to_plain_execution() {
                 assert_eq!(ft.ledger.failed_total(), fusion::types::Cost::ZERO);
                 assert_eq!(ft_net.trace(), plain_net.trace(), "{}", scenario.name);
             }
+            assert_cached_pair_identical(&scenario, &plan);
+            assert_parallel_pair_identical(&scenario, &plan);
         }
     }
+}
+
+/// `execute_plan_cached` vs `execute_plan_ft_cached` with faults off,
+/// over a cold and a warm round: identical outcomes, traces and cache
+/// statistics.
+fn assert_cached_pair_identical(scenario: &Scenario, plan: &Plan) {
+    let mut plain_cache = AnswerCache::new(1 << 20);
+    let mut ft_cache = AnswerCache::new(1 << 20);
+    for round in 0..2 {
+        let mut plain_net = scenario.network();
+        let plain = execute_plan_cached(
+            plan,
+            &scenario.query,
+            &scenario.sources,
+            &mut plain_net,
+            &mut plain_cache,
+        )
+        .unwrap();
+        let mut ft_net = scenario.network();
+        let ft = execute_plan_ft_cached(
+            plan,
+            &scenario.query,
+            &scenario.sources,
+            &mut ft_net,
+            &RetryPolicy::default(),
+            &mut ft_cache,
+        )
+        .unwrap();
+        let at = format!("{} cached round {round}", scenario.name);
+        assert_eq!(ft.answer, plain.answer, "{at}");
+        assert_eq!(ft.ledger, plain.ledger, "{at}");
+        assert_eq!(ft.completeness, plain.completeness, "{at}");
+        assert_eq!(ft_net.trace(), plain_net.trace(), "{at}");
+        assert_eq!(ft_cache.stats(), plain_cache.stats(), "{at}");
+    }
+}
+
+/// `execute_plan_parallel` vs `execute_plan_parallel_ft` with faults
+/// off: identical outcomes and traces.
+fn assert_parallel_pair_identical(scenario: &Scenario, plan: &Plan) {
+    let config = ParallelConfig::with_threads(2);
+    let mut plain_net = scenario.network();
+    let plain = execute_plan_parallel(
+        plan,
+        &scenario.query,
+        &scenario.sources,
+        &mut plain_net,
+        &config,
+    )
+    .unwrap();
+    let mut ft_net = scenario.network();
+    let ft = execute_plan_parallel_ft(
+        plan,
+        &scenario.query,
+        &scenario.sources,
+        &mut ft_net,
+        &RetryPolicy::default(),
+        &config,
+    )
+    .unwrap();
+    let at = format!("{} parallel", scenario.name);
+    assert_eq!(ft.outcome.answer, plain.outcome.answer, "{at}");
+    assert_eq!(ft.outcome.ledger, plain.outcome.ledger, "{at}");
+    assert_eq!(ft.outcome.completeness, plain.outcome.completeness, "{at}");
+    assert_eq!(ft_net.trace(), plain_net.trace(), "{at}");
 }
 
 /// A no-retry policy under faults still never aborts: failures become
